@@ -306,9 +306,9 @@ func BenchmarkEvalBackendRuntime(b *testing.B) { benchEvalBackend(b, "runtime") 
 // --- Ablations of this reproduction's design choices -----------------------
 //
 // BenchmarkAblationSinkAnchored quantifies the sink-anchored parallel
-// splits (DESIGN.md): without them, the merge operators are stranded in
-// their own stage and the planner cannot form the paper's "branch tail +
-// concatenation" stages.
+// splits (docs/ARCHITECTURE.md, "The partition space"): without them, the
+// merge operators are stranded in their own stage and the planner cannot
+// form the paper's "branch tail + concatenation" stages.
 
 func BenchmarkAblationSinkAnchored(b *testing.B) {
 	g := models.MMT(models.DefaultMMTConfig())

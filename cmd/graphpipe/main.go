@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
@@ -279,12 +278,9 @@ func cmdPlan(args []string, stdout, stderr io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	model := costmodel.NewDefault(topo)
-
 	popts := planner.Options{
 		ForcedMicroBatch: *micro,
 		Workers:          *workers,
-		CostModel:        model,
 	}
 	// A warm-memo file is a cache, never a source of truth: a missing,
 	// corrupt, or incompatible snapshot degrades to a cold plan (with a
@@ -309,7 +305,7 @@ func cmdPlan(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	searchTime := time.Since(start)
 
-	rep, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
+	rep, err := ev.Evaluate(g, topo, st, eval.Options{})
 	if err != nil {
 		return err
 	}

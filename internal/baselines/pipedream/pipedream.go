@@ -122,7 +122,7 @@ func (s *searchState) stageTPS(i, j, d1, depth int) (float64, bool) {
 		}
 		costs := s.p.model.Stage(s.p.g, cfg)
 		ev = stageEval{
-			tps:          s.p.model.TPS(s.p.g, cfg, s.mini),
+			tps:          costs.TPS(s.b, s.mini),
 			weightMem:    costs.WeightBytes,
 			actPerSample: costs.ActivationBytesPerSample,
 		}
@@ -228,8 +228,9 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 			// Synchronous 1F1B iteration estimate: the pipeline fills and
 			// drains every iteration (m + depth − 1 bottleneck slots for
 			// m = B/b micro-batches), so deep pipelines pay warm-up and
-			// cool-down bubbles the steady-state bottleneck TPS hides.
-			score := e.bottleneck * float64(miniBatch+(depth-1)*b)
+			// cool-down bubbles the steady-state bottleneck TPS hides. The
+			// source stage holds depth micro-batches in flight.
+			score := costmodel.IterationEstimate(e.bottleneck, miniBatch, depth*b, b)
 			if best == nil || score < best.score {
 				best = &winner{s: s, depth: depth, entry: e, score: score}
 			}

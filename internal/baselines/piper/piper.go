@@ -273,7 +273,7 @@ func (s *searchState) dp(upset graph.NodeSet, d, depth int, evals map[string]*st
 			}
 			costs := s.p.model.Stage(s.p.g, cfg)
 			ev = &stageEval{
-				tps:          s.p.model.TPS(s.p.g, cfg, s.mini),
+				tps:          costs.TPS(s.b, s.mini),
 				weightMem:    costs.WeightBytes,
 				actPerSample: costs.ActivationBytesPerSample,
 			}
@@ -393,7 +393,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 			}
 			// Synchronous 1F1B iteration estimate (see pipedream):
 			// bubbles scale with pipeline depth.
-			score := e.bottleneck * float64(miniBatch+(depth-1)*b)
+			score := costmodel.IterationEstimate(e.bottleneck, miniBatch, depth*b, b)
 			if best == nil || score < best.score {
 				best = &winner{s: s, depth: depth, entry: e, score: score}
 			}

@@ -21,6 +21,13 @@
 //	                      from a prior search's DP memo snapshot emits
 //	                      an artifact byte-identical to a cold plan of
 //	                      the same request
+//	hetero-admissibility  on a pinned heterogeneous topology, no plan
+//	                      claims a better iteration estimate than the
+//	                      flat topology that dominates it
+//
+// The corpus checks properties, not particular plans; the plans on the
+// paper models are pinned byte for byte by internal/planner's golden
+// test (TestArtifactGolden).
 //
 // On a violation the harness shrinks the failing spec to a minimal
 // model that still fails (Shrink), so a red corpus run hands the
@@ -54,7 +61,7 @@ import (
 // Invariant names one checked property.
 type Invariant string
 
-// The eight invariants, in the order they are checked per spec.
+// The seven invariants, in the order they are checked per spec.
 const (
 	InvAdmissible   Invariant = "admissible"
 	InvDeterminism  Invariant = "determinism"
@@ -62,12 +69,6 @@ const (
 	InvParity       Invariant = "backend-parity"
 	InvMonotonicity Invariant = "device-monotonicity"
 	InvWarmCold     Invariant = "warm-cold-equivalence"
-	// InvPlacement (invariant g) pins the placement-aware refactor to its
-	// predecessor: on a flat topology — where placement provably cannot
-	// matter — the placement-aware search must emit an artifact
-	// byte-identical to the placement-oblivious reference arm
-	// (planner.Options.PlacementOblivious). graphpipe only.
-	InvPlacement Invariant = "placement-conformance"
 	// InvHeteroBound is the heterogeneous admissibility bound: a plan for
 	// a heterogeneous/hierarchical topology can never claim a better
 	// iteration time (the planner's objective: bottleneck time-per-sample
@@ -81,10 +82,10 @@ const (
 // Invariants lists every invariant in check order.
 func Invariants() []Invariant {
 	return []Invariant{InvAdmissible, InvDeterminism, InvFingerprint, InvParity,
-		InvMonotonicity, InvWarmCold, InvPlacement, InvHeteroBound}
+		InvMonotonicity, InvWarmCold, InvHeteroBound}
 }
 
-// Failure labels that are not one of the five invariants: the harness's
+// Failure labels that are not one of the seven invariants: the harness's
 // own preconditions. They get distinct labels so Shrink's like-for-like
 // predicate can never drift from (say) an admissibility violation onto
 // a spec that merely fails to generate or to plan.
@@ -235,7 +236,7 @@ func CheckCorpus(specs []synth.Spec, cfg Config) *Report {
 	return rep
 }
 
-// CheckSpec runs all six invariants for one spec across the config's
+// CheckSpec runs all seven invariants for one spec across the config's
 // planner × backend grid, shrinking each violation to a minimal spec.
 func CheckSpec(spec synth.Spec, cfg Config) ([]Violation, []string) {
 	cfg = cfg.withDefaults()
@@ -308,14 +309,13 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		return []failure{{invariant: InvGeneration, detail: fmt.Sprintf("resolving topology: %v", err)}}
 	}
 	canonTopo := topo.Canonical()
-	model := costmodel.NewDefault(topo)
 
 	// The base plan doubles as the warm-cold invariant's snapshot source:
 	// a sink only observes the search, so attaching it cannot change the
 	// base artifact (the determinism variants below re-prove that).
 	var snap *memosnap.Snapshot
 	baseOpts := planner.Options{Workers: 1, MemoSink: func(s *memosnap.Snapshot) { snap = s }}
-	base, baseStats, err := plan(g, topo, model, plannerName, mb, baseOpts, cfg)
+	base, baseStats, err := plan(g, topo, plannerName, mb, baseOpts, cfg)
 	if err != nil {
 		if errors.Is(err, piper.ErrSearchExplosion) {
 			return []failure{{detail: fmt.Sprintf("search budget exhausted (%v)", err), skip: true}}
@@ -357,7 +357,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 			}{"fresh-probe-memo search", planner.Options{Workers: 1, FreshProbeMemo: true}})
 	}
 	for _, v := range variants {
-		st, _, err := plan(g, topo, model, plannerName, mb, v.opts, cfg)
+		st, _, err := plan(g, topo, plannerName, mb, v.opts, cfg)
 		if err != nil {
 			record(InvDeterminism, "", "%s failed: %v", v.label, err)
 			continue
@@ -369,23 +369,6 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		}
 		if !bytes.Equal(b, baseBytes) {
 			record(InvDeterminism, "", "%s produced a different artifact than the sequential search", v.label)
-		}
-	}
-
-	// (g) Placement conformance: wherever placement provably cannot matter
-	// — flat topology, every contiguous block cost-identical — the
-	// placement-aware search must be a pure refactor of the oblivious one:
-	// byte-identical artifacts, not merely equal throughput.
-	if plannerName == "graphpipe" && topo.Flat() {
-		st, _, err := plan(g, topo, model, plannerName, mb,
-			planner.Options{Workers: 1, PlacementOblivious: true}, cfg)
-		if err != nil {
-			record(InvPlacement, "", "placement-oblivious reference search failed: %v", err)
-		} else if b, err := artifactBytes(name, cfg.Devices, canonTopo, mb, plannerName, st); err != nil {
-			record(InvPlacement, "", "encoding reference artifact: %v", err)
-		} else if !bytes.Equal(b, baseBytes) {
-			record(InvPlacement, "",
-				"placement-aware artifact differs from the placement-oblivious reference on a flat topology")
 		}
 	}
 
@@ -403,12 +386,18 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		dom, err := dominatingTopology(topo)
 		if err != nil {
 			record(InvHeteroBound, "", "building dominating topology: %v", err)
-		} else if domSt, domStats, err := plan(g, dom, costmodel.NewDefault(dom), plannerName, mb,
+		} else if domSt, domStats, err := plan(g, dom, plannerName, mb,
 			planner.Options{Workers: 1}, cfg); err != nil {
 			record(InvHeteroBound, "", "planning on the dominating flat topology failed: %v", err)
 		} else {
-			baseIter := iterationEstimate(base, baseStats, mb)
-			domIter := iterationEstimate(domSt, domStats, mb)
+			// Stage 0 holds the source operator, so its in-flight window is
+			// the pipeline fill the estimate charges.
+			estimate := func(st *strategy.Strategy, bottleneckTPS float64) float64 {
+				src := &st.Stages[0]
+				return costmodel.IterationEstimate(bottleneckTPS, mb, src.InFlightSamples, src.Config.MicroBatch)
+			}
+			baseIter := estimate(base, baseStats.BottleneckTPS)
+			domIter := estimate(domSt, domStats.BottleneckTPS)
 			// The flat search is a heuristic (its DP keeps the in-flight-
 			// minimal plan per state), so it can miss pipeline shapes the
 			// hetero search was forced into by comm constraints. The bound
@@ -416,7 +405,13 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 			// and the hetero plan's shape re-costed on the dominating
 			// cluster: beating both means the placement-aware costing
 			// itself was unsound, not merely the flat search incomplete.
-			if re := recostIteration(g, base, costmodel.NewDefault(dom), mb); re < domIter {
+			domModel := costmodel.NewDefault(dom)
+			recost := 0.0
+			for i := range base.Stages {
+				stage := &base.Stages[i]
+				recost = math.Max(recost, eval.StageCosts(g, domModel, stage).TPS(stage.Config.MicroBatch, mb))
+			}
+			if re := estimate(base, recost); re < domIter {
 				domIter = re
 			}
 			if baseIter < domIter*(1-cfg.AdmissibilityTolerance) {
@@ -458,7 +453,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 	// backend's, field for field (Backend name aside).
 	reports := map[string]*eval.Report{}
 	for _, be := range cfg.Backends {
-		rep, err := evaluate(g, topo, model, be, base)
+		rep, err := evaluate(g, topo, be, base)
 		if err != nil {
 			record(InvParity, be, "evaluation failed: %v", err)
 			continue
@@ -488,20 +483,18 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 	// the sweep is skipped.
 	if cfg.Topology == "" {
 		type sweepPoint struct {
-			devs  int
-			topo  *cluster.Topology
-			model costmodel.Model
-			st    *strategy.Strategy
+			devs int
+			topo *cluster.Topology
+			st   *strategy.Strategy
 		}
 		var sweep []sweepPoint
 		for _, devs := range cfg.MonotonicityDevices {
 			pt := sweepPoint{devs: devs, topo: cluster.NewSummitTopology(devs)}
-			pt.model = costmodel.NewDefault(pt.topo)
 			dmb := synth.DefaultMiniBatch(devs)
 			if devs == cfg.Devices && dmb == mb {
 				pt.st = base
 			} else {
-				st, _, err := plan(g, pt.topo, pt.model, plannerName, dmb, planner.Options{Workers: 1}, cfg)
+				st, _, err := plan(g, pt.topo, plannerName, dmb, planner.Options{Workers: 1}, cfg)
 				if err != nil {
 					if errors.Is(err, piper.ErrSearchExplosion) {
 						fails = append(fails, failure{skip: true,
@@ -521,7 +514,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 				rep := reports[be] // parity already evaluated the base point
 				if pt.st != base || rep == nil {
 					var err error
-					rep, err = evaluate(g, pt.topo, pt.model, be, pt.st)
+					rep, err = evaluate(g, pt.topo, be, pt.st)
 					if err != nil {
 						record(InvMonotonicity, be, "evaluating at %d devices failed: %v", pt.devs, err)
 						prevDevs, prevTP = 0, 0
@@ -561,12 +554,11 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		if pt.devs < 1 {
 			continue
 		}
-		ptopo, pmodel := topo, model
+		ptopo := topo
 		if pt.devs != cfg.Devices {
 			ptopo = cluster.NewSummitTopology(pt.devs)
-			pmodel = costmodel.NewDefault(ptopo)
 		}
-		coldSt, _, err := plan(g, ptopo, pmodel, plannerName, pt.mb, planner.Options{Workers: 1}, cfg)
+		coldSt, _, err := plan(g, ptopo, plannerName, pt.mb, planner.Options{Workers: 1}, cfg)
 		if err != nil {
 			if errors.Is(err, piper.ErrSearchExplosion) {
 				fails = append(fails, failure{skip: true,
@@ -578,7 +570,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		}
 		warmOpts := planner.Options{Workers: 1,
 			WarmMemo: func(memosnap.Key) *memosnap.Snapshot { return snap }}
-		warmSt, _, err := plan(g, ptopo, pmodel, plannerName, pt.mb, warmOpts, cfg)
+		warmSt, _, err := plan(g, ptopo, plannerName, pt.mb, warmOpts, cfg)
 		if err != nil {
 			record(InvWarmCold, "", "warm plan at %s failed where cold succeeded: %v", pt.label, err)
 			continue
@@ -601,58 +593,15 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 }
 
 // plan runs one planner search with the conformance budget applied.
-func plan(g *graph.Graph, topo *cluster.Topology, model costmodel.Model,
-	plannerName string, mb int, opts planner.Options, cfg Config) (*strategy.Strategy, planner.Stats, error) {
+func plan(g *graph.Graph, topo *cluster.Topology, plannerName string, mb int,
+	opts planner.Options, cfg Config) (*strategy.Strategy, planner.Stats, error) {
 	pl, err := planner.Get(plannerName)
 	if err != nil {
 		return nil, planner.Stats{}, err
 	}
-	opts.CostModel = model
 	opts.StateBudget = cfg.PiperBudget
 	opts.Timeout = time.Minute
 	return pl.Plan(g, topo, mb, opts)
-}
-
-// iterationEstimate mirrors the planner's root objective: the bottleneck
-// time-per-sample scaled by mini-batch plus the source stage's
-// pipeline-fill surplus (in-flight samples beyond one micro-batch). This
-// is the quantity the search minimizes, so it is the one that is
-// monotone in hardware capability; the raw bottleneck is not, because a
-// deeper pipeline lowers the bottleneck while lengthening the fill.
-func iterationEstimate(st *strategy.Strategy, stats planner.Stats, miniBatch int) float64 {
-	fill := 0
-	if len(st.Stages) > 0 {
-		src := &st.Stages[0]
-		fill = src.InFlightSamples - src.Config.MicroBatch
-	}
-	return stats.BottleneckTPS * float64(miniBatch+fill)
-}
-
-// recostIteration charges an existing strategy against another
-// topology's placement-oblivious costing — the same rule the planner's
-// flat search applies to every candidate — and returns the iteration
-// estimate it would have there.
-func recostIteration(g *graph.Graph, st *strategy.Strategy, model costmodel.Model, miniBatch int) float64 {
-	topo := model.Topology()
-	bottleneck := 0.0
-	for i := range st.Stages {
-		s := &st.Stages[i]
-		sc := costmodel.StageConfig{
-			Ops:                s.Ops,
-			MicroBatch:         s.Config.MicroBatch,
-			DataPar:            len(s.Devices),
-			InterNode:          topo.Len() > 4,
-			InterNodeAllreduce: len(s.Devices) > 4,
-		}
-		if tps := model.TPS(g, sc, miniBatch); tps > bottleneck {
-			bottleneck = tps
-		}
-	}
-	fill := 0
-	if len(st.Stages) > 0 {
-		fill = st.Stages[0].InFlightSamples - st.Stages[0].Config.MicroBatch
-	}
-	return bottleneck * float64(miniBatch+fill)
 }
 
 // dominatingTopology builds the flat homogeneous topology that is
@@ -683,13 +632,12 @@ func dominatingTopology(t *cluster.Topology) (*cluster.Topology, error) {
 }
 
 // evaluate runs one backend evaluation.
-func evaluate(g *graph.Graph, topo *cluster.Topology, model costmodel.Model,
-	backend string, st *strategy.Strategy) (*eval.Report, error) {
+func evaluate(g *graph.Graph, topo *cluster.Topology, backend string, st *strategy.Strategy) (*eval.Report, error) {
 	ev, err := eval.Get(backend)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
+	return ev.Evaluate(g, topo, st, eval.Options{})
 }
 
 // skeletonArtifact wraps a strategy with identity metadata only — no

@@ -16,12 +16,11 @@ import (
 
 // TestHeteroTopologyCorpus sweeps every synth topology family against a
 // small model slice: the full invariant suite per (model, topology) pair,
-// including the heterogeneous admissibility bound and — on families that
-// resolve to a flat homogeneous cluster — the placement-conformance
-// byte-identity. graphpipe/sim only: the placement dimension lives in the
-// graphpipe core, and the sim backend is the cheap deterministic one (CI
-// widens the model slice with -conformance.seeds; backend parity across
-// topologies is TestCorpus's job).
+// including the heterogeneous admissibility bound. graphpipe/sim only: the
+// placement dimension lives in the graphpipe core, and the sim backend is
+// the cheap deterministic one (CI widens the model slice with
+// -conformance.seeds; backend parity across topologies is TestCorpus's
+// job).
 func TestHeteroTopologyCorpus(t *testing.T) {
 	specs := conformance.Corpus(5, 1)
 	for _, fam := range synth.TopoFamilies() {

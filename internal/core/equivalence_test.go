@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"graphpipe/internal/cluster"
@@ -75,12 +80,34 @@ func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts Options) ([]by
 	return data, r
 }
 
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/reuse32.golden from this run's artifacts")
+
+const reuseGolden = "testdata/reuse32.golden"
+
 // TestCrossProbeReuseEquivalence pins the tentpole's correctness claim: the
 // probe-spanning memo with monotone validity intervals returns exactly the
 // strategy of the reference search (a fresh memo per probe, Workers=1) on
 // every planner-relevant model × {4, 32} devices, while recomputing
-// strictly fewer DP states.
+// strictly fewer DP states. The 32-device artifacts are also pinned by
+// SHA-256 against testdata/reuse32.golden (rewritten by -update-golden),
+// so a refactor that changes both search paths alike is caught too.
 func TestCrossProbeReuseEquivalence(t *testing.T) {
+	if *updateGolden && testing.Short() {
+		t.Fatal("-update-golden needs the 32-device cells; run without -short")
+	}
+	want := map[string]string{}
+	if !*updateGolden {
+		data, err := os.ReadFile(reuseGolden)
+		if err != nil {
+			t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			name, _, _ := strings.Cut(line, " ")
+			want[name] = line
+		}
+	}
+	var pinned []string
 	for _, c := range reuseCases() {
 		c := c
 		t.Run(fmt.Sprintf("%s-%ddev", c.name, c.devices), func(t *testing.T) {
@@ -105,6 +132,24 @@ func TestCrossProbeReuseEquivalence(t *testing.T) {
 			t.Logf("%s/%d: DP states %d -> %d (%.1fx fewer)",
 				c.name, c.devices, ref.DPStates, opt.DPStates,
 				float64(ref.DPStates)/float64(opt.DPStates))
+			if c.devices == 32 {
+				sum := sha256.Sum256(optArt)
+				cell := fmt.Sprintf("%s@%d", c.name, c.devices)
+				line := cell + " artifact=" + hex.EncodeToString(sum[:])
+				pinned = append(pinned, line)
+				if !*updateGolden && line != want[cell] {
+					t.Errorf("artifact drifted from %s:\ngot  %s\nwant %s", reuseGolden, line, want[cell])
+				}
+			}
 		})
+	}
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(reuseGolden, []byte(strings.Join(pinned, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", reuseGolden)
 	}
 }

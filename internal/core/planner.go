@@ -87,14 +87,6 @@ type Options struct {
 	// necessarily contains the concatenation operator"). Exists for the
 	// ablation benchmarks only.
 	DisableSinkAnchoredSplits bool
-	// PlacementOblivious restores the pre-placement planner: stages are
-	// costed against device 0 and the two-tier bandwidth heuristics instead
-	// of the contiguous device block each stage actually lands on, and the
-	// DP key carries no placement dimension. On a flat uniform topology the
-	// placement-aware path produces byte-identical strategies (pinned by
-	// conformance invariant (g)); the flag exists for that pin and for
-	// A/B-ing the placement machinery.
-	PlacementOblivious bool
 	// Epsilon is the relative binary-search tolerance (default 2e-3).
 	Epsilon float64
 	// Workers bounds the planning worker pool shared by the
@@ -185,14 +177,15 @@ type Planner struct {
 
 	// places interns the cost-equivalence classes of contiguous device
 	// blocks; the class of a stage's block is the placement dimension of
-	// the DP key. nil when Options.PlacementOblivious.
+	// the DP key.
 	places *cluster.PlacementTable
 
-	// evalCaches memoizes per-(zone, micro-batch, devices) stage costs,
-	// partitioned by root micro-batch size so concurrent per-size searches
-	// never contend. The costs are independent of the binary-search
-	// target and are therefore reused across all probes of one Plan call;
-	// each table is internally sharded for the per-probe fan-out.
+	// evalCaches memoizes per-(zone, micro-batch, devices, placement
+	// class) stage costs, partitioned by root micro-batch size so
+	// concurrent per-size searches never contend. The costs are
+	// independent of the binary-search target and are therefore reused
+	// across all probes of one Plan call; each table is internally sharded
+	// for the per-probe fan-out.
 	evalCaches map[int]*evalTable
 
 	// exportGen numbers exportSearch calls for dpResult.expGen tagging.
@@ -202,7 +195,7 @@ type Planner struct {
 type stageEvalKey struct {
 	zone  int
 	b, d  int
-	place int // placement class, -1 in placement-oblivious mode
+	place int // placement class
 }
 
 type stageEval struct {
@@ -241,10 +234,6 @@ func (zt *zoneTable) intern(set graph.NodeSet) int {
 	}
 	id := len(zt.sets)
 	zt.ids[key] = id
-	// Prime the cached content fingerprint: every StageConfig built from
-	// this zone copies the set (and the cache with it), so cost-model cache
-	// lookups on the DP hot path never rehash the bitset.
-	set.Fingerprint()
 	zt.sets = append(zt.sets, set)
 	zt.series = append(zt.series, nil)
 	zt.parallel = append(zt.parallel, nil)
@@ -314,9 +303,7 @@ func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) (*Planner, 
 		zones: zt,
 		opts:  opts,
 	}
-	if !opts.PlacementOblivious {
-		p.places = cluster.NewPlacementTable(p.topo)
-	}
+	p.places = cluster.NewPlacementTable(p.topo)
 	return p, nil
 }
 
@@ -481,11 +468,11 @@ func better(a, b *dpResult) *dpResult {
 // placement class (8), source config index (6), successor presence +
 // config index (1+6), successor in-flight samples (22). The placement
 // class is the interned cost-equivalence class of the contiguous device
-// block the zone lands on (cluster.PlacementTable); placement-oblivious
-// searches leave it zero. Packing keeps memo lookups cheap; the hot path
-// is hundreds of millions of lookups for the largest models. Plan
-// validates every field's range up front (validateKeyRanges), so the
-// packing cannot silently alias distinct states.
+// block the zone lands on (cluster.PlacementTable). Packing keeps memo
+// lookups cheap; the hot path is hundreds of millions of lookups for the
+// largest models. Plan validates every field's range up front
+// (validateKeyRanges), so the packing cannot silently alias distinct
+// states.
 type dpKey uint64
 
 // span is the half-open interval [lo, hi) of binary-search targets for
@@ -603,18 +590,9 @@ func (s *search) configIdx(c schedule.Config) int {
 	panic(fmt.Sprintf("core: schedule config %+v not pre-interned", c))
 }
 
-// placeClass returns the placement class of the block [start, start+d), or
-// 0 in placement-oblivious mode (the key's placement field is then inert).
-func (s *search) placeClass(start, d int) int {
-	if s.p.places == nil {
-		return 0
-	}
-	return s.p.places.Class(start, d)
-}
-
 func (s *search) makeKey(zoneID, d, start int, cf schedule.Config, cb *schedule.Successor) dpKey {
 	k := uint64(zoneID)&0x3FFF | uint64(d&0x7F)<<14 |
-		uint64(s.placeClass(start, d)&0xFF)<<21 | uint64(s.configIdx(cf)&0x3F)<<29
+		uint64(s.p.places.Class(start, d)&0xFF)<<21 | uint64(s.configIdx(cf)&0x3F)<<29
 	if cb != nil {
 		k |= 1 << 35
 		k |= uint64(s.configIdx(cb.Config)&0x3F) << 36
@@ -649,7 +627,7 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 	if d := p.topo.Len(); d > maxKeyDevs {
 		return fmt.Errorf("core: %d devices exceed the DP key's %d-device limit", d, maxKeyDevs)
 	}
-	if p.places != nil && p.places.NumClasses()-1 > maxPlaceClass {
+	if p.places.NumClasses()-1 > maxPlaceClass {
 		return fmt.Errorf("core: %d placement classes exceed the DP key's %d-class limit",
 			p.places.NumClasses(), maxPlaceClass+1)
 	}
@@ -686,50 +664,26 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 	return nil
 }
 
-// interNodeComm reports whether stage-boundary transfers should be costed
-// at inter-node bandwidth: in a multi-node cluster, neighboring stages
-// usually land on different nodes.
-func (s *search) interNodeComm() bool {
-	return s.p.topo.Len() > 4
-}
-
-// interNodeAllreduce reports whether a d-replica stage's gradient allreduce
-// crosses nodes: the contiguous allocator keeps up-to-4-device stages
-// within one 4-GPU node.
-func (s *search) interNodeAllreduce(d int) bool {
-	return d > 4
-}
-
 // evalStage returns cached per-stage costs for (zone, b, d, placement
-// class). Placement-aware searches cost the stage against the class's
+// class), costing the stage once on a miss against the class's
 // representative block — any block of the class has identical costs, so
-// the eval (and the cost model's own cache) is shared across every
-// same-class block the DP tries. The cost model runs outside the shard
-// lock; concurrent walkers may duplicate an evaluation, but the value is
-// deterministic so either write is correct.
+// the eval is shared across every same-class block the DP tries. The cost
+// model runs outside the shard lock; concurrent walkers may duplicate an
+// evaluation, but the value is deterministic so either write is correct.
 func (s *search) evalStage(zoneID, b, d, start int) stageEval {
-	place := -1
-	if s.p.places != nil {
-		place = s.p.places.Class(start, d)
-	}
+	place := s.p.places.Class(start, d)
 	key := stageEvalKey{zone: zoneID, b: b, d: d, place: place}
 	if ev, ok := s.evalCache.get(key); ok {
 		return ev
 	}
-	cfg := costmodel.StageConfig{
+	costs := s.p.model.Stage(s.p.g, costmodel.StageConfig{
 		Ops:        s.p.zones.sets[zoneID],
 		MicroBatch: b,
 		DataPar:    d,
-	}
-	if place >= 0 {
-		cfg.Place = s.p.places.Rep(place, d)
-	} else {
-		cfg.InterNode = s.interNodeComm()
-		cfg.InterNodeAllreduce = s.interNodeAllreduce(d)
-	}
-	costs := s.p.model.Stage(s.p.g, cfg)
+		Place:      s.p.places.Rep(place, d),
+	})
 	ev := stageEval{
-		tps:          s.p.model.TPS(s.p.g, cfg, s.miniBatch),
+		tps:          costs.TPS(b, s.miniBatch),
 		weightMem:    costs.WeightBytes,
 		actPerSample: costs.ActivationBytesPerSample,
 	}
@@ -762,11 +716,7 @@ func (w *dpWalker) stageAttempt(zoneID int, cf schedule.Config, cb *schedule.Suc
 	}
 	inFlight := schedule.ComputeInFlight(cf, succs)
 	mem := ev.weightMem + ev.actPerSample*float64(inFlight)
-	budget := s.p.topo.MinMemory()
-	if s.p.places != nil {
-		budget = s.p.topo.BlockMinMemory(cluster.Block{Start: start, Count: d})
-	}
-	if mem > budget {
+	if mem > s.p.topo.BlockMinMemory(cluster.Block{Start: start, Count: d}) {
 		return nil, fullSpan()
 	}
 	r := w.newResult()
@@ -1038,14 +988,11 @@ func (s *search) searchStageGraph(root, b int) *dpResult {
 	return best
 }
 
-// rootScore estimates the synchronous 1F1B iteration time of a root
-// solution: the bottleneck stage paces both the steady state (B samples)
-// and the warm-up/cool-down bubbles, which grow with the source stage's
-// in-flight window (≈ pipeline depth × micro-batch size). All three
-// planners in this repository select their final strategy by this estimate
-// so the comparison isolates the partition spaces (see DESIGN.md).
-func rootScore(r *dpResult, miniBatch int) float64 {
-	return r.maxTPS * float64(miniBatch+r.inFlight-r.srcCfg.MicroBatch)
+// iterationEstimate is the root solution's costmodel.IterationEstimate,
+// the synchronous-1F1B objective all three planners select their final
+// strategy by (see docs/ARCHITECTURE.md, "The cost model").
+func (r *dpResult) iterationEstimate(miniBatch int) float64 {
+	return costmodel.IterationEstimate(r.maxTPS, miniBatch, r.inFlight, r.srcCfg.MicroBatch)
 }
 
 // betterRoot is PickBetter at the root: feasibility, then the synchronous
@@ -1057,7 +1004,7 @@ func (s *search) betterRoot(a, b *dpResult) *dpResult {
 	if b == nil {
 		return a
 	}
-	sa, sb := rootScore(a, s.miniBatch), rootScore(b, s.miniBatch)
+	sa, sb := a.iterationEstimate(s.miniBatch), b.iterationEstimate(s.miniBatch)
 	if sa != sb {
 		if sa < sb {
 			return a
@@ -1136,7 +1083,7 @@ func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, ma
 		if r == nil {
 			return
 		}
-		if out.best == nil || rootScore(r, miniBatch) < rootScore(out.best, miniBatch) {
+		if out.best == nil || r.iterationEstimate(miniBatch) < out.best.iterationEstimate(miniBatch) {
 			out.best = r
 		}
 	}
@@ -1249,7 +1196,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		if r == nil {
 			continue
 		}
-		if best == nil || rootScore(r, miniBatch) < rootScore(best, miniBatch) {
+		if best == nil || r.iterationEstimate(miniBatch) < best.iterationEstimate(miniBatch) {
 			best = r
 		}
 	}
@@ -1313,9 +1260,7 @@ func assignStarts(r *dpResult, start int) {
 // counts recomputed by backward traversal of the stage graph (§6), and
 // per-stage task orders from the greedy scheduler.
 func (p *Planner) assemble(r *dpResult, miniBatch int) (*strategy.Strategy, error) {
-	if p.places != nil {
-		assignStarts(r, 0)
-	}
+	assignStarts(r, 0)
 	stages := r.collectStages(nil)
 	// Deterministic order: by the earliest topological position of any
 	// owned operator. This also keeps device allocation contiguous along
@@ -1326,13 +1271,12 @@ func (p *Planner) assemble(r *dpResult, miniBatch int) (*strategy.Strategy, erro
 
 	st := &strategy.Strategy{Planner: "graphpipe", MiniBatch: miniBatch}
 	var groups [][]cluster.DeviceID
-	if p.places != nil && !p.topo.Flat() {
-		// Placement-aware planning on a non-flat topology: the DP costed
-		// each stage against one specific contiguous block, so the
-		// assembled strategy must use exactly those blocks. On flat
-		// topologies every same-size block is cost-identical and the
-		// legacy allocator below reproduces the pre-placement artifacts
-		// byte for byte.
+	if !p.topo.Flat() {
+		// On a non-flat topology the DP costed each stage against one
+		// specific contiguous block, so the assembled strategy must use
+		// exactly those blocks. On flat topologies every same-size block
+		// is cost-identical and the allocator below keeps the artifacts
+		// planned before placement-aware costing byte for byte.
 		groups = make([][]cluster.DeviceID, len(stages))
 		for i, ds := range stages {
 			ids := make([]cluster.DeviceID, ds.devs)

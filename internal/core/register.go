@@ -21,7 +21,6 @@ func (registered) Plan(g *graph.Graph, topo *cluster.Topology, miniBatch int, op
 		PerStageMicroBatch:        opts.PerStageMicroBatch,
 		DisableSinkAnchoredSplits: opts.DisableSinkAnchoredSplits,
 		FreshProbeMemo:            opts.FreshProbeMemo,
-		PlacementOblivious:        opts.PlacementOblivious,
 		WarmMemo:                  opts.WarmMemo,
 		MemoSink:                  opts.MemoSink,
 		Span:                      opts.Span,

@@ -20,16 +20,18 @@ import (
 // bounds the targets for which the [tps ≤ tmax] comparisons inside it come
 // out identical. Costs depend on the graph, the structural options, the
 // topology observables, and the mini-batch (through the TPS objective's
-// allreduce term) — but not on the cluster size: a key with degree d
-// reaches only sub-keys with degree ≤ d and per-degree cost flags
-// (interNodeAllreduce is d > 4 regardless of cluster), so an entry
-// computed at 32 devices is exactly what a 16-device search would have
-// computed for the same key. The snapshot key (graph hash + shape sig +
-// cost sig) pins the graph/options/cost inputs; SearchMemos isolate
-// mini-batches; entries for degrees beyond the importer's cluster are
-// simply never queried. The one per-cluster cost input — whether stage
-// boundaries cross nodes (topo.Len() > 4) — is folded into the cost
-// signature, so snapshots never cross that regime.
+// allreduce term) — but not on the cluster size: a stage is costed
+// against its device block, and a key names the block by its placement
+// class, whose signature (device classes, in-link and internal link
+// levels) fixes every cost the stage can see. Import translates class ids
+// by signature and drops classes the importer lacks, so an entry computed
+// at 32 devices is exactly what a 16-device search would have computed
+// for the same key. The snapshot key (graph hash + shape sig + cost sig)
+// pins the graph/options/cost inputs; SearchMemos isolate mini-batches;
+// entries for degrees beyond the importer's cluster are simply never
+// queried. The cost signature also separates clusters of at most four
+// devices from larger ones (its regime term), so snapshots never cross
+// that size.
 
 // snapshotKey computes this planning question's compatibility identity.
 func (p *Planner) snapshotKey() memosnap.Key {
@@ -47,18 +49,16 @@ func (p *Planner) snapshotKey() memosnap.Key {
 // the determinism conformance invariant).
 func (p *Planner) shapeSig() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "shape2\nmbc=%v\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\noblivious=%t\n",
+	fmt.Fprintf(h, "shape3\nmbc=%v\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\n",
 		p.opts.MicroBatchCandidates, p.opts.MaxMicroBatch, p.opts.KCandidates,
-		p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits,
-		p.opts.PlacementOblivious)
+		p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits)
 	return h.Sum64()
 }
 
 // costSig hashes every cost input a DP computation can observe: the
-// topology scalars the search reads directly (memory budget, the
-// inter-node boundary regime) and the cost model's behavior, fingerprinted
-// through deterministic whole-graph probes at fixed configurations. The
-// probes cover the three degree regimes a stage can occupy (no allreduce,
+// topology scalars (memory budget, the more-than-four-devices regime) and
+// the cost model's behavior, fingerprinted through deterministic
+// whole-graph probes at fixed configurations. The probes cover the three degree regimes a stage can occupy (no allreduce,
 // intra-node allreduce, inter-node allreduce), so changed model parameters
 // or bandwidths shift at least one probe output and the signatures
 // diverge. The conformance warm≡cold invariant is the backstop for cost
@@ -97,7 +97,7 @@ func (p *Planner) costSig() uint64 {
 			math.Float64bits(c.ForwardTime), math.Float64bits(c.BackwardTime),
 			math.Float64bits(c.CommInTime), math.Float64bits(c.AllreducePerIter),
 			math.Float64bits(c.WeightBytes), math.Float64bits(c.ActivationBytesPerSample),
-			math.Float64bits(p.model.TPS(p.g, cfg, probeMiniBatch)))
+			math.Float64bits(c.TPS(pr.b, probeMiniBatch)))
 	}
 	fmt.Fprintf(h, "maxtps=%x\n", math.Float64bits(p.model.MaxTPS(p.g, probeMiniBatch)))
 	return h.Sum64()
@@ -124,10 +124,7 @@ func (p *Planner) probeConfig(b, d int, interNode, arX bool) costmodel.StageConf
 // search exports nothing, which makes Merge accumulation drift-free
 // (pinned by test).
 func (p *Planner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
-	snap := &memosnap.Snapshot{Key: key}
-	if p.places != nil {
-		snap.Placements = p.places.Signatures()
-	}
+	snap := &memosnap.Snapshot{Key: key, Placements: p.places.Signatures()}
 	for i := range results {
 		if s := results[i].search; s != nil {
 			snap.Searches = append(snap.Searches, p.exportSearch(s))
@@ -272,37 +269,26 @@ func (s *search) importMemo(sm *memosnap.SearchMemo, placements []string) bool {
 	if !configsEqual(sm.Configs, s.cfgs) || !configsEqual(sm.Boundary, s.boundary) {
 		return false
 	}
-	// Placement regime must match: an oblivious search cannot interpret
-	// placement-carrying keys and vice versa.
-	if (p.places == nil) != (len(placements) == 0) {
+	// A snapshot without placement signatures cannot name the blocks its
+	// keys were costed on.
+	if len(placements) == 0 {
 		return false
 	}
 	// placeMap translates the exporter's class ids to this table's; -1
 	// marks a class this topology does not have. nil means identity.
 	var placeMap []int
-	if p.places != nil {
-		local := p.places.Signatures()
-		identity := len(placements) == len(local)
-		if identity {
-			for i := range placements {
-				if placements[i] != local[i] {
-					identity = false
-					break
-				}
-			}
+	local := p.places.Signatures()
+	if !slices.Equal(placements, local) {
+		bySig := make(map[string]int, len(local))
+		for i, sig := range local {
+			bySig[sig] = i
 		}
-		if !identity {
-			bySig := make(map[string]int, len(local))
-			for i, sig := range local {
-				bySig[sig] = i
-			}
-			placeMap = make([]int, len(placements))
-			for i, sig := range placements {
-				if li, ok := bySig[sig]; ok {
-					placeMap[i] = li
-				} else {
-					placeMap[i] = -1
-				}
+		placeMap = make([]int, len(placements))
+		for i, sig := range placements {
+			if li, ok := bySig[sig]; ok {
+				placeMap[i] = li
+			} else {
+				placeMap[i] = -1
 			}
 		}
 	}
@@ -476,14 +462,7 @@ func (s *search) validKey(k dpKey) bool {
 	d := int(uint64(k) >> 14 & 0x7F)
 	place := int(uint64(k) >> 21 & 0xFF)
 	srcIdx := int(uint64(k) >> 29 & 0x3F)
-	if zone >= len(s.p.zones.sets) || d < 1 || srcIdx >= len(s.cfgs) {
-		return false
-	}
-	if s.p.places == nil {
-		if place != 0 {
-			return false
-		}
-	} else if place >= s.p.places.NumClasses() {
+	if zone >= len(s.p.zones.sets) || d < 1 || srcIdx >= len(s.cfgs) || place >= s.p.places.NumClasses() {
 		return false
 	}
 	if uint64(k)>>35&1 == 0 {

@@ -7,13 +7,11 @@ import (
 	"graphpipe/internal/graph"
 )
 
-// Cached memoizes the stage-level queries of an underlying Model. Planner
-// searches and the evaluation backends query the same (ops, micro-batch,
-// data-parallel, locality) stage configurations over and over — a binary
-// search re-probes identical zones hundreds of times, and every evaluator
-// replay re-derives the costs the planner already computed. Threading one
-// Cached instance through the planner and the evaluators computes each
-// distinct stage once per instance instead of once per caller.
+// Cached memoizes the Stage queries of an underlying Model; TPS and memory
+// derive from the memoized costs. No planner or evaluator here builds one:
+// each planner already memoizes stage costs per search, so a shared cache
+// in front of them answered none of its lookups. It remains for callers
+// that query one model repeatedly from outside a search.
 //
 // The cache is sharded by key hash so the parallel planner's workers and
 // concurrent evaluator replays do not serialize on a single lock.
@@ -34,7 +32,6 @@ const cacheShards = 64
 type cacheShard struct {
 	mu    sync.RWMutex
 	stage map[stageKey]StageCosts
-	tps   map[tpsKey]float64
 }
 
 // stageKey identifies one Stage query. The operator set enters as its
@@ -49,20 +46,15 @@ type cacheShard struct {
 // artifacts replayed back to back), and op-index collisions between graphs
 // must not alias their costs.
 type stageKey struct {
-	g                  *graph.Graph
-	ops                uint64 // NodeSet.Fingerprint of the op set
-	nOps               int    // NodeSet.Len, a cheap extra collision guard
-	microBatch         int
-	dataPar            int
-	interNode          bool
-	interNodeAllreduce bool
-	placeStart         int
-	placeCount         int
-}
-
-type tpsKey struct {
-	stageKey
-	miniBatch int
+	g           *graph.Graph
+	ops         uint64 // NodeSet.Fingerprint of the op set
+	nOps        int    // NodeSet.Len, a cheap extra collision guard
+	microBatch  int
+	dataPar     int
+	interNode   bool
+	interNodeAR bool
+	placeStart  int
+	placeCount  int
 }
 
 // NewCached wraps inner with a memoizing layer. It is safe for concurrent
@@ -71,22 +63,21 @@ func NewCached(inner Model) *Cached {
 	c := &Cached{inner: inner}
 	for i := range c.shards {
 		c.shards[i].stage = make(map[stageKey]StageCosts)
-		c.shards[i].tps = make(map[tpsKey]float64)
 	}
 	return c
 }
 
 func keyOf(g *graph.Graph, cfg StageConfig) stageKey {
 	return stageKey{
-		g:                  g,
-		ops:                cfg.Ops.Fingerprint(),
-		nOps:               cfg.Ops.Len(),
-		microBatch:         cfg.MicroBatch,
-		dataPar:            cfg.DataPar,
-		interNode:          cfg.InterNode,
-		interNodeAllreduce: cfg.InterNodeAllreduce,
-		placeStart:         cfg.Place.Start,
-		placeCount:         cfg.Place.Count,
+		g:           g,
+		ops:         cfg.Ops.Fingerprint(),
+		nOps:        cfg.Ops.Len(),
+		microBatch:  cfg.MicroBatch,
+		dataPar:     cfg.DataPar,
+		interNode:   cfg.InterNode,
+		interNodeAR: cfg.InterNodeAllreduce,
+		placeStart:  cfg.Place.Start,
+		placeCount:  cfg.Place.Count,
 	}
 }
 
@@ -129,27 +120,14 @@ func (c *Cached) Stage(g *graph.Graph, cfg StageConfig) StageCosts {
 	return costs
 }
 
-// TPS returns the memoized time-per-sample of the stage.
+// TPS derives the stage's time-per-sample from the memoized stage costs.
 func (c *Cached) TPS(g *graph.Graph, cfg StageConfig, miniBatch int) float64 {
-	key := tpsKey{stageKey: keyOf(g, cfg), miniBatch: miniBatch}
-	sh := c.shardFor(key.ops)
-	sh.mu.RLock()
-	tps, ok := sh.tps[key]
-	sh.mu.RUnlock()
-	if ok {
-		return tps
-	}
-	tps = c.inner.TPS(g, cfg, miniBatch)
-	sh.mu.Lock()
-	sh.tps[key] = tps
-	sh.mu.Unlock()
-	return tps
+	return c.Stage(g, cfg).TPS(cfg.MicroBatch, miniBatch)
 }
 
 // StageMemory derives the stage's memory from the memoized stage costs.
 func (c *Cached) StageMemory(g *graph.Graph, cfg StageConfig, inFlightSamples int) float64 {
-	costs := c.Stage(g, cfg)
-	return costs.WeightBytes + costs.ActivationBytesPerSample*float64(inFlightSamples)
+	return c.Stage(g, cfg).Memory(inFlightSamples)
 }
 
 // FitsMemory reports whether the stage satisfies the device memory budget:

@@ -70,9 +70,9 @@ func DefaultParams() Params {
 // TPS objective (Equation 1), and the memory feasibility checks
 // (Equation 2). Implementations must be safe for concurrent use — the
 // parallel planner and the experiment grid both query one model from many
-// goroutines. Analytic is the roofline implementation; Cached memoizes any
-// Model so repeated stage queries (planner probes, evaluator replays) are
-// computed once.
+// goroutines. Analytic is the roofline implementation. Planners and
+// evaluators cost a stage with one Stage call and derive TPS and memory
+// from the returned StageCosts; each planner memoizes those per search.
 type Model interface {
 	// Topology returns the device topology the model was built over.
 	Topology() *cluster.Topology
@@ -112,13 +112,10 @@ func New(params Params, topo *cluster.Topology) *Analytic {
 	return &Analytic{params: params, topo: topo}
 }
 
-// NewDefault returns a memoizing cost model with DefaultParams: the
-// Analytic roofline wrapped in a Cached layer. Memoization is per
-// instance — callers that want planner probes and evaluator replays to
-// share stage costs must thread one model value through both (as
-// cmd/graphpipe's plan subcommand and the experiments harness do).
-func NewDefault(topo *cluster.Topology) Model {
-	return NewCached(New(DefaultParams(), topo))
+// NewDefault returns the Analytic roofline with DefaultParams. It holds
+// no state beyond its parameters, so every caller can build its own.
+func NewDefault(topo *cluster.Topology) *Analytic {
+	return New(DefaultParams(), topo)
 }
 
 // Topology returns the device topology the model was built over.
@@ -195,14 +192,51 @@ type StageCosts struct {
 	ActivationBytesPerSample float64
 }
 
+// TPS returns the Time-Per-Sample of a stage with these costs at
+// micro-batch size microBatch: the steady-state time the stage adds per
+// training sample, the quantity minimized for the bottleneck stage in
+// Equation 1. In steady-state 1F1B, activation/gradient transfers overlap
+// with the compute of other micro-batches, so the stage is paced by
+// whichever is larger; the per-iteration allreduce is spread over the
+// miniBatch samples of an iteration.
+func (c StageCosts) TPS(microBatch, miniBatch int) float64 {
+	perMicro := c.ForwardTime + c.BackwardTime
+	if comm := c.CommInTime + c.CommBackTime; comm > perMicro {
+		perMicro = comm
+	}
+	tps := perMicro / float64(microBatch)
+	if miniBatch > 0 {
+		tps += c.AllreducePerIter / float64(miniBatch)
+	}
+	return tps
+}
+
+// Memory returns the per-device memory of a stage with these costs when it
+// keeps inFlightSamples samples' activations resident (Equation 2
+// left-hand side).
+func (c StageCosts) Memory(inFlightSamples int) float64 {
+	return c.WeightBytes + c.ActivationBytesPerSample*float64(inFlightSamples)
+}
+
+// IterationEstimate is the synchronous-1F1B iteration time every planner
+// in this repository ranks its final candidates by: the bottleneck stage's
+// time-per-sample paces the miniBatch steady-state samples and the
+// warm-up/cool-down bubbles, which grow with the source stage's in-flight
+// window beyond its own micro-batch (≈ pipeline depth × micro-batch size).
+// Selecting by one estimate makes the planner comparison isolate their
+// partition spaces.
+func IterationEstimate(bottleneckTPS float64, miniBatch, srcInFlight, srcMicroBatch int) float64 {
+	return bottleneckTPS * float64(miniBatch+srcInFlight-srcMicroBatch)
+}
+
 // StageConfig identifies the stage whose cost is being queried.
 type StageConfig struct {
 	Ops        graph.NodeSet // operators assigned to the stage
 	MicroBatch int           // micro-batch size b_i in samples
 	DataPar    int           // number of data-parallel devices |D_i|
 	// InterNode indicates the stage's boundary transfers cross node
-	// boundaries; when the concrete device placement is not yet known the
-	// planner passes a conservative estimate.
+	// boundaries. The baseline planners, which do not cost placement, pass
+	// a conservative estimate.
 	InterNode bool
 	// InterNodeAllreduce indicates the stage's data-parallel replicas span
 	// nodes (the contiguous allocator keeps ≤4-device stages within one
@@ -349,29 +383,15 @@ func (m *Analytic) maxInEdgeBytes(g *graph.Graph, set graph.NodeSet) float64 {
 	return max
 }
 
-// TPS returns the Time-Per-Sample of the stage: the steady-state time the
-// stage adds per training sample, the quantity minimized for the bottleneck
-// stage in Equation 1. In steady-state 1F1B, activation/gradient transfers
-// overlap with the compute of other micro-batches, so the stage is paced by
-// whichever is larger.
+// TPS returns the Time-Per-Sample of the stage (StageCosts.TPS).
 func (m *Analytic) TPS(g *graph.Graph, cfg StageConfig, miniBatch int) float64 {
-	c := m.Stage(g, cfg)
-	perMicro := c.ForwardTime + c.BackwardTime
-	if comm := c.CommInTime + c.CommBackTime; comm > perMicro {
-		perMicro = comm
-	}
-	tps := perMicro / float64(cfg.MicroBatch)
-	if miniBatch > 0 {
-		tps += c.AllreducePerIter / float64(miniBatch)
-	}
-	return tps
+	return m.Stage(g, cfg).TPS(cfg.MicroBatch, miniBatch)
 }
 
 // StageMemory returns the per-device memory of the stage when it keeps
-// inFlightSamples samples' activations resident (Equation 2 left-hand side).
+// inFlightSamples samples' activations resident (StageCosts.Memory).
 func (m *Analytic) StageMemory(g *graph.Graph, cfg StageConfig, inFlightSamples int) float64 {
-	c := m.Stage(g, cfg)
-	return c.WeightBytes + c.ActivationBytesPerSample*float64(inFlightSamples)
+	return m.Stage(g, cfg).Memory(inFlightSamples)
 }
 
 // FitsMemory reports whether the stage satisfies the device memory budget
@@ -390,9 +410,7 @@ func (m *Analytic) FitsMemory(g *graph.Graph, cfg StageConfig, inFlightSamples i
 // Algorithm 1): the whole model as a single stage on one device with
 // micro-batch 1, maximized over device classes so the bound covers every
 // placement on a heterogeneous cluster. The whole graph has no external
-// producer edges, so boundary rates do not enter; on a uniform topology
-// this is exactly the single-device bound the placement-oblivious planner
-// used.
+// producer edges, so boundary rates do not enter.
 func (m *Analytic) MaxTPS(g *graph.Graph, miniBatch int) float64 {
 	var max float64
 	seen := make(map[int]bool)
@@ -403,16 +421,12 @@ func (m *Analytic) MaxTPS(g *graph.Graph, miniBatch int) float64 {
 		}
 		seen[c] = true
 		cfg := StageConfig{
-			Ops: g.AllNodes(), MicroBatch: 1, DataPar: 1, InterNode: true,
+			Ops: g.AllNodes(), MicroBatch: 1, DataPar: 1,
 			Place: cluster.Block{Start: i, Count: 1},
 		}
-		if tps := m.TPS(g, cfg, miniBatch) * 2; tps > max {
+		if tps := m.Stage(g, cfg).TPS(1, miniBatch) * 2; tps > max {
 			max = tps
 		}
-	}
-	if max == 0 { // empty topology: fall back to the oblivious bound
-		cfg := StageConfig{Ops: g.AllNodes(), MicroBatch: 1, DataPar: 1, InterNode: true}
-		max = m.TPS(g, cfg, miniBatch) * 2
 	}
 	return max
 }

@@ -121,7 +121,7 @@ type Options struct {
 }
 
 // ResolveModel resolves the options' cost model against the evaluation
-// topology: the override if set, the memoizing default otherwise. A model
+// topology: the override if set, costmodel.NewDefault otherwise. A model
 // built over a differently-sized cluster is rejected — the strategy's
 // device IDs would index outside the model's device table. (Same-size
 // topologies with different link parameters are indistinguishable here
@@ -157,7 +157,6 @@ type Evaluator interface {
 //
 // The timeline may arrive in any order; Assemble canonicalizes it.
 func Assemble(g *graph.Graph, model costmodel.Model, st *strategy.Strategy, backend string, timeline []TaskRecord) *Report {
-	topo := model.Topology()
 	rep := &Report{
 		Backend:  backend,
 		Planner:  st.Planner,
@@ -204,21 +203,11 @@ func Assemble(g *graph.Graph, model costmodel.Model, st *strategy.Strategy, back
 
 	var iterEnd float64
 	for i := range st.Stages {
-		stage := &st.Stages[i]
-		cfg := costmodel.StageConfig{
-			Ops:                stage.Ops,
-			MicroBatch:         stage.Config.MicroBatch,
-			DataPar:            len(stage.Devices),
-			InterNodeAllreduce: topo.GroupSpansNodes(stage.Devices),
-		}
-		if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
-			cfg.Place = blk
-		}
-		costs := model.Stage(g, cfg)
+		costs := StageCosts(g, model, &st.Stages[i])
 		rep.Stages[i] = StageReport{
 			ComputeTime:         busy[i],
 			IdleTime:            computeSpan - firstStart - busy[i],
-			PeakMemory:          costs.WeightBytes + costs.ActivationBytesPerSample*float64(peak[i]),
+			PeakMemory:          costs.Memory(peak[i]),
 			PeakInFlightSamples: peak[i],
 		}
 		if costs.AllreducePerIter > rep.AllreduceTime {
@@ -237,6 +226,25 @@ func Assemble(g *graph.Graph, model costmodel.Model, st *strategy.Strategy, back
 		rep.Throughput = float64(st.MiniBatch) / rep.IterationTime
 	}
 	return rep
+}
+
+// StageCosts costs one stage of a strategy: against its contiguous device
+// block, which is how every planner places stages, or — for a
+// non-contiguous group — with the placement-oblivious rules, the
+// allreduce spanning nodes exactly when the group does. Both backends and
+// Assemble cost stages through it, so they cannot disagree on a stage.
+func StageCosts(g *graph.Graph, model costmodel.Model, stage *strategy.Stage) costmodel.StageCosts {
+	cfg := costmodel.StageConfig{
+		Ops:        stage.Ops,
+		MicroBatch: stage.Config.MicroBatch,
+		DataPar:    len(stage.Devices),
+	}
+	if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
+		cfg.Place = blk
+	} else {
+		cfg.InterNodeAllreduce = model.Topology().GroupSpansNodes(stage.Devices)
+	}
+	return model.Stage(g, cfg)
 }
 
 // canonicalize sorts a copy of the timeline into the canonical order.

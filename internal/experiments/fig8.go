@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/models"
 	"graphpipe/internal/planner"
@@ -66,7 +65,6 @@ func CaseStudy(miniBatch int) (*CaseStudyResult, error) {
 	// the planner registry and replaying through the evaluator registry to
 	// recover the strategy objects the grid discards.
 	topo := cluster.NewSummitTopology(devices)
-	model := costmodel.NewDefault(topo)
 	ev, err := eval.Get("sim")
 	if err != nil {
 		return nil, err
@@ -76,11 +74,11 @@ func CaseStudy(miniBatch int) (*CaseStudyResult, error) {
 		if err != nil {
 			return ""
 		}
-		st, _, err := pl.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
+		st, _, err := pl.Plan(g, topo, miniBatch, planner.Options{})
 		if err != nil {
 			return ""
 		}
-		out, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
+		out, err := ev.Evaluate(g, topo, st, eval.Options{})
 		if err != nil {
 			return ""
 		}

@@ -15,7 +15,6 @@ import (
 
 	"graphpipe/internal/baselines/piper"
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/planner"
@@ -109,7 +108,6 @@ func Run(sys System, g *graph.Graph, devices, miniBatch int, opts RunOptions) Ou
 	}
 	out := Outcome{System: sys, Model: g.Name(), Backend: backend, Devices: devices, MiniBatch: miniBatch}
 	topo := cluster.NewSummitTopology(devices)
-	model := costmodel.NewDefault(topo)
 
 	// An unknown backend is a harness-configuration bug, not a data point:
 	// a Failed outcome would render as the paper's ✗ (planner could not
@@ -125,10 +123,8 @@ func Run(sys System, g *graph.Graph, devices, miniBatch int, opts RunOptions) Ou
 		out.Failed = true
 		return out
 	}
-	popts := opts.plannerOptions()
-	popts.CostModel = model
 	start := time.Now()
-	st, _, err := pl.Plan(g, topo, miniBatch, popts)
+	st, _, err := pl.Plan(g, topo, miniBatch, opts.plannerOptions())
 	out.SearchTime = time.Since(start)
 	if err != nil {
 		out.Err = err
@@ -136,7 +132,7 @@ func Run(sys System, g *graph.Graph, devices, miniBatch int, opts RunOptions) Ou
 		return out
 	}
 
-	rep, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
+	rep, err := ev.Evaluate(g, topo, st, eval.Options{})
 	if err != nil {
 		out.Err = err
 		out.Failed = true

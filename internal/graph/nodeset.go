@@ -189,7 +189,7 @@ func (s NodeSet) Key() string {
 }
 
 // Fingerprint returns a 64-bit content hash of the set, the allocation-free
-// replacement for Key on hot map paths (planner cost caches): equal sets
+// replacement for Key on hot map paths (costmodel.Cached): equal sets
 // have equal fingerprints regardless of backing capacity, and distinct sets
 // collide with probability ~n²/2⁶⁴ for n distinct sets — negligible against
 // the few thousand zones of a model graph (callers that cannot tolerate any

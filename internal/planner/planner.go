@@ -47,14 +47,6 @@ type Options struct {
 	// chosen strategy is identical either way — the conformance harness
 	// exists to keep proving that. graphpipe only.
 	FreshProbeMemo bool
-	// PlacementOblivious restores the pre-placement search: the DP ignores
-	// which contiguous device block a stage lands on and costs every stage
-	// with the legacy uniform-cluster rules. On flat homogeneous
-	// topologies the placement-aware search provably chooses the same
-	// strategy (conformance invariant g); on heterogeneous or hierarchical
-	// clusters the oblivious search miscosts stages and exists only as the
-	// conformance reference arm. graphpipe only.
-	PlacementOblivious bool
 	// StateBudget bounds Piper's DP states plus enumeration steps
 	// (default 5e7), reproducing Table 1's ✗ entries. piper only.
 	StateBudget int

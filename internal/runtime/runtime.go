@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
@@ -259,16 +258,7 @@ func (rt *Runtime) Run(st *strategy.Strategy) (*Result, error) {
 	}
 	for i := 0; i < n; i++ {
 		stage := &st.Stages[i]
-		cfg := costmodel.StageConfig{
-			Ops:                stage.Ops,
-			MicroBatch:         stage.Config.MicroBatch,
-			DataPar:            len(stage.Devices),
-			InterNodeAllreduce: topo.GroupSpansNodes(stage.Devices),
-		}
-		if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
-			cfg.Place = blk
-		}
-		costs := rt.model.Stage(rt.g, cfg)
+		costs := eval.StageCosts(rt.g, rt.model, stage)
 		workers[i] = &stageWorker{
 			id:        strategy.StageID(i),
 			stage:     stage,

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/faultinject"
 	"graphpipe/internal/graph"
@@ -380,7 +379,6 @@ func (s *Service) runPlanner(ctx context.Context, req Request, g *graph.Graph, f
 		PerStageMicroBatch:        req.Options.PerStageMicroBatch,
 		DisableSinkAnchoredSplits: req.Options.DisableSinkAnchoredSplits,
 		Workers:                   s.cfg.PlannerWorkers,
-		CostModel:                 costmodel.NewDefault(topo),
 		// The span hook hands the planner core a way to record its
 		// internal phases (per-probe DP searches, memo import/export)
 		// as children of planner.search without the core importing obs.

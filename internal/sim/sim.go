@@ -21,6 +21,7 @@ import (
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
+	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/schedule"
 	"graphpipe/internal/strategy"
@@ -113,16 +114,7 @@ func (sm *Simulator) Run(st *strategy.Strategy) (*Result, error) {
 	states := make([]*stageState, n)
 	for i := 0; i < n; i++ {
 		stage := &st.Stages[i]
-		cfg := costmodel.StageConfig{
-			Ops:                stage.Ops,
-			MicroBatch:         stage.Config.MicroBatch,
-			DataPar:            len(stage.Devices),
-			InterNodeAllreduce: sm.topo.GroupSpansNodes(stage.Devices),
-		}
-		if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
-			cfg.Place = blk
-		}
-		costs := sm.model.Stage(sm.g, cfg)
+		costs := eval.StageCosts(sm.g, sm.model, stage)
 		nMicro := st.MiniBatch / stage.Config.MicroBatch
 		ss := &stageState{
 			st:      stage,

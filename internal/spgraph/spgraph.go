@@ -18,7 +18,7 @@
 // parallel splits are contiguous groupings in that order; for the paper's
 // workloads all branches in a group are structurally identical, so this
 // keeps the DP polynomial without discarding useful strategies (see
-// DESIGN.md).
+// docs/ARCHITECTURE.md, "The partition space").
 package spgraph
 
 import (
@@ -78,28 +78,8 @@ func (d *Decomposer) info(zone graph.NodeSet) *zoneInfo {
 		return zi
 	}
 	zi := d.analyze(zone)
-	zi.primeFingerprints()
 	d.memo[key] = zi
 	return zi
-}
-
-// primeFingerprints computes the cached NodeSet fingerprint of every set the
-// decomposer will hand out. Split sets flow by value into the planner's zone
-// table and from there into cost-model cache keys; priming them here means
-// each distinct zone is hashed exactly once for the lifetime of the
-// decomposition, and every downstream lookup reuses the cached value.
-func (zi *zoneInfo) primeFingerprints() {
-	for i := range zi.comps {
-		zi.comps[i].Fingerprint()
-	}
-	for i := range zi.series {
-		zi.series[i].Left.Fingerprint()
-		zi.series[i].Right.Fingerprint()
-	}
-	for i := range zi.parallel {
-		zi.parallel[i].Left.Fingerprint()
-		zi.parallel[i].Right.Fingerprint()
-	}
 }
 
 // sourcesIn returns the nodes of zone with no predecessor inside zone.
@@ -228,10 +208,7 @@ func (d *Decomposer) LinearizedSplits(zone graph.NodeSet) []Split {
 	for i := 0; i+1 < len(order); i++ {
 		left.Add(order[i])
 		right := zone.Minus(left)
-		sp := Split{Left: left.Clone(), Right: right, Series: true}
-		sp.Left.Fingerprint()
-		sp.Right.Fingerprint()
-		out = append(out, sp)
+		out = append(out, Split{Left: left.Clone(), Right: right, Series: true})
 	}
 	return out
 }
