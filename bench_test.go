@@ -4,8 +4,8 @@
 // iteration — for one experiment and reports the paper's metrics as custom
 // benchmark outputs (samples/s, search seconds, pipeline depth, speedups),
 // so `go test -bench=.` prints the rows behind Figures 6–9, Table 1, and
-// the Appendix A.3 parity table. EXPERIMENTS.md records a captured run and
-// compares it against the paper's numbers.
+// the Appendix A.3 parity table. CI runs each once as the figures' smoke
+// test; perfbench/ is the repository's measured benchmark.
 //
 // Absolute throughputs come from the simulated V100 cluster and are not
 // expected to match the paper's testbed; the reproduced artifacts are the

@@ -13,7 +13,7 @@
 //	experiments planners            # list the registered planners
 //
 // Each experiment prints a CSV table (and, for fig8, the pipeline gantt
-// charts); EXPERIMENTS.md records a captured run. The experiment grids
+// charts). The experiment grids
 // resolve planners through the graphpipe/internal/planner registry and
 // fan out across CPUs with deterministic row ordering.
 package main

@@ -40,28 +40,16 @@ type Block struct {
 }
 
 // Topology is the device graph. Devices are ordered along the pipeline:
-// lower ids are upstream. Link bandwidths come from the level hierarchy
-// when one was specified; topologies built by the legacy constructors keep
-// the flat two-tier view, where devices on the same node communicate at
-// IntraNodeBandwidth and devices on different nodes at InterNodeBandwidth.
+// lower ids are upstream. Link bandwidths and latencies come from the
+// level hierarchy every topology carries (see Level).
 type Topology struct {
 	devices []Device
 
-	// levels is the interconnect hierarchy, innermost first; nil means the
-	// legacy two-tier view derived from the exported fields below.
+	// levels is the interconnect hierarchy, innermost first.
 	levels []Level
 	// classOf[i] is the index into classes of device i's interned class.
 	classOf []int
 	classes []DeviceClass
-
-	// IntraNodeBandwidth is the bytes/s between two devices on one node
-	// (NVLink on the paper's testbed).
-	IntraNodeBandwidth float64
-	// InterNodeBandwidth is the bytes/s between devices on different nodes
-	// (EDR InfiniBand on the paper's testbed).
-	InterNodeBandwidth float64
-	// LinkLatency is the fixed per-transfer latency in seconds.
-	LinkLatency float64
 }
 
 // NewSummitTopology builds the "summit" preset at n devices: V100-class
@@ -69,13 +57,7 @@ type Topology struct {
 // (§7). See SummitSpec for the constants.
 func NewSummitTopology(n int) *Topology {
 	if n < 1 {
-		t := &Topology{
-			IntraNodeBandwidth: summitNVLink,
-			InterNodeBandwidth: summitIB,
-			LinkLatency:        summitLatency,
-		}
-		t.internClasses()
-		return t
+		return &Topology{levels: SummitSpec(0).Levels}
 	}
 	t, err := SummitSpec(n).Build()
 	if err != nil {
@@ -84,26 +66,22 @@ func NewSummitTopology(n int) *Topology {
 	return t
 }
 
-// NewUniformTopology builds n identical devices on a single node with the
-// given memory budget and a flat, symmetric interconnect; tests use it to
-// create controlled memory pressure. Compute capabilities are borrowed
-// from the summit preset's device class.
+// NewUniformTopology builds n identical devices on one symmetric link
+// level with the given memory budget and bandwidth; tests use it to
+// create controlled memory pressure. Compute capabilities and latency are
+// borrowed from the summit preset. It panics on values Spec.Validate
+// rejects (n < 1, a non-positive memory budget or bandwidth).
 func NewUniformTopology(n int, memoryBytes, bandwidth float64) *Topology {
-	t := &Topology{
-		IntraNodeBandwidth: bandwidth,
-		InterNodeBandwidth: bandwidth,
-		LinkLatency:        summitLatency,
+	t, err := Spec{
+		Classes: []DeviceClass{{Name: "uniform", MemoryBytes: memoryBytes,
+			PeakFLOPS: summitPeakFLOPS, MemBandwidth: summitMemBandwidth}},
+		Levels: []Level{{Name: "link", Width: n,
+			DownBandwidth: bandwidth, UpBandwidth: bandwidth, Latency: summitLatency}},
+		Assign: make([]int, n),
+	}.Build()
+	if err != nil {
+		panic(fmt.Sprintf("cluster: uniform topology: %v", err))
 	}
-	for i := 0; i < n; i++ {
-		t.devices = append(t.devices, Device{
-			ID:           DeviceID(i),
-			Node:         0,
-			MemoryBytes:  memoryBytes,
-			PeakFLOPS:    summitPeakFLOPS,
-			MemBandwidth: summitMemBandwidth,
-		})
-	}
-	t.internClasses()
 	return t
 }
 
@@ -179,58 +157,12 @@ func (t *Topology) BlockMinMemory(b Block) float64 {
 	return m
 }
 
-// effectiveLevels returns the interconnect hierarchy, deriving the
-// two-tier view from the legacy fields when no explicit hierarchy was
-// given. The derived outer level is present even on single-node
-// topologies (where no device pair reaches it) so every topology renders
-// in the same two-plus-level shape.
-func (t *Topology) effectiveLevels() []Level {
-	if t.levels != nil {
-		return t.levels
-	}
-	n := len(t.devices)
-	w := n
-	for i, d := range t.devices {
-		if d.Node != 0 {
-			w = i
-			break
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	outer := n
-	if outer < w {
-		outer = w
-	}
-	if r := outer % w; r != 0 {
-		outer += w - r
-	}
-	return []Level{
-		{Name: "node", Width: w, DownBandwidth: t.IntraNodeBandwidth,
-			UpBandwidth: t.IntraNodeBandwidth, Latency: t.LinkLatency},
-		{Name: "cluster", Width: outer, DownBandwidth: t.InterNodeBandwidth,
-			UpBandwidth: t.InterNodeBandwidth, Latency: t.LinkLatency},
-	}
-}
-
 // LevelCount returns the number of interconnect tiers.
-func (t *Topology) LevelCount() int {
-	if t.levels == nil {
-		return 2
-	}
-	return len(t.levels)
-}
+func (t *Topology) LevelCount() int { return len(t.levels) }
 
 // LinkLevel returns the innermost hierarchy level over which devices a and
 // b communicate (0 = fastest tier). a == b is level 0 by convention.
 func (t *Topology) LinkLevel(a, b DeviceID) int {
-	if t.levels == nil {
-		if t.devices[a].Node == t.devices[b].Node {
-			return 0
-		}
-		return 1
-	}
 	for l, lv := range t.levels {
 		if int(a)/lv.Width == int(b)/lv.Width {
 			return l
@@ -250,34 +182,13 @@ func (t *Topology) InLinkLevel(start int) int {
 }
 
 // LevelDown returns the pipeline-forward (activation) bandwidth of level l.
-func (t *Topology) LevelDown(l int) float64 {
-	if t.levels == nil {
-		if l == 0 {
-			return t.IntraNodeBandwidth
-		}
-		return t.InterNodeBandwidth
-	}
-	return t.levels[l].DownBandwidth
-}
+func (t *Topology) LevelDown(l int) float64 { return t.levels[l].DownBandwidth }
 
 // LevelUp returns the pipeline-backward (gradient) bandwidth of level l.
-func (t *Topology) LevelUp(l int) float64 {
-	if t.levels == nil {
-		if l == 0 {
-			return t.IntraNodeBandwidth
-		}
-		return t.InterNodeBandwidth
-	}
-	return t.levels[l].UpBandwidth
-}
+func (t *Topology) LevelUp(l int) float64 { return t.levels[l].UpBandwidth }
 
 // LevelLatency returns the per-transfer latency of level l.
-func (t *Topology) LevelLatency(l int) float64 {
-	if t.levels == nil {
-		return t.LinkLatency
-	}
-	return t.levels[l].Latency
-}
+func (t *Topology) LevelLatency(l int) float64 { return t.levels[l].Latency }
 
 // Flat reports whether every device pair communicates at the same
 // (symmetric) bandwidth and all devices are identical — the topologies on
@@ -286,8 +197,7 @@ func (t *Topology) Flat() bool {
 	if len(t.classes) > 1 {
 		return false
 	}
-	lvls := t.effectiveLevels()
-	n := len(t.devices)
+	lvls, n := t.levels, len(t.devices)
 	base := lvls[0]
 	if base.UpBandwidth != base.DownBandwidth {
 		return false
@@ -309,7 +219,7 @@ func (t *Topology) Flat() bool {
 // summit fingerprints byte-identical to their historical preimages, so
 // artifacts planned before topologies were configurable keep their hashes.
 func (t *Topology) Canonical() string {
-	spec := Spec{Classes: t.classes, Levels: t.effectiveLevels(), Assign: t.classOf}
+	spec := Spec{Classes: t.classes, Levels: t.levels, Assign: t.classOf}
 	c := spec.Canonical()
 	if len(t.devices) > 0 && c == SummitSpec(len(t.devices)).Canonical() {
 		return ""
@@ -332,23 +242,25 @@ func (t *Topology) Bandwidth(a, b DeviceID) float64 {
 	return t.LevelUp(l)
 }
 
-// GroupBandwidth returns the bottleneck bandwidth for transfers from one
-// device group to another: the minimum pairwise link bandwidth between any
-// sender and receiver. Stage boundaries are charged at this rate.
-func (t *Topology) GroupBandwidth(from, to []DeviceID) float64 {
+// GroupLink returns the bottleneck link for transfers from one device
+// group to another: the minimum pairwise bandwidth between any sender and
+// receiver, and the per-transfer latency of the level that link belongs
+// to (the largest among equally slow links). Stage boundaries are charged
+// at this rate and latency.
+func (t *Topology) GroupLink(from, to []DeviceID) (bandwidth, latency float64) {
 	if len(from) == 0 || len(to) == 0 {
-		return t.LevelDown(0)
+		return t.LevelDown(0), t.LevelLatency(0)
 	}
-	min := -1.0
+	bandwidth = -1
 	for _, a := range from {
 		for _, b := range to {
-			bw := t.Bandwidth(a, b)
-			if min < 0 || bw < min {
-				min = bw
+			bw, lat := t.Bandwidth(a, b), t.LevelLatency(t.LinkLevel(a, b))
+			if bandwidth < 0 || bw < bandwidth || (bw == bandwidth && lat > latency) {
+				bandwidth, latency = bw, lat
 			}
 		}
 	}
-	return min
+	return bandwidth, latency
 }
 
 // GroupSpansNodes reports whether the device group crosses a node boundary,
@@ -364,31 +276,6 @@ func (t *Topology) GroupSpansNodes(group []DeviceID) bool {
 		}
 	}
 	return false
-}
-
-// AllreduceBandwidth returns the per-device bandwidth available for a ring
-// allreduce over the group: the worse direction of the widest hierarchy
-// level the ring crosses (a ring sends both up and down the pipeline
-// order, so the slower direction paces it).
-func (t *Topology) AllreduceBandwidth(group []DeviceID) float64 {
-	l := 0
-	if len(group) >= 2 {
-		lo, hi := group[0], group[0]
-		for _, d := range group[1:] {
-			if d < lo {
-				lo = d
-			}
-			if d > hi {
-				hi = d
-			}
-		}
-		l = t.LinkLevel(lo, hi)
-	}
-	down, up := t.LevelDown(l), t.LevelUp(l)
-	if up < down {
-		return up
-	}
-	return down
 }
 
 // ContiguousBlock returns the block covering the device group if the ids
@@ -407,37 +294,6 @@ func ContiguousBlock(ids []DeviceID) (Block, bool) {
 	}
 	return Block{Start: int(ids[0]), Count: len(ids)}, true
 }
-
-// Allocator hands out contiguous blocks of device IDs. Contiguous allocation
-// keeps data-parallel replicas of one stage on as few nodes as possible,
-// which is how the paper's runtime places stages.
-type Allocator struct {
-	topo *Topology
-	next DeviceID
-}
-
-// NewAllocator returns an allocator over t starting at device 0.
-func NewAllocator(t *Topology) *Allocator { return &Allocator{topo: t} }
-
-// Take allocates the next n contiguous devices. It returns an error if the
-// topology is exhausted, which indicates a planner bug (C3 violation).
-func (a *Allocator) Take(n int) ([]DeviceID, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: invalid allocation size %d", n)
-	}
-	if int(a.next)+n > a.topo.Len() {
-		return nil, fmt.Errorf("cluster: out of devices: want %d, have %d left", n, a.topo.Len()-int(a.next))
-	}
-	out := make([]DeviceID, n)
-	for i := range out {
-		out[i] = a.next
-		a.next++
-	}
-	return out, nil
-}
-
-// Remaining returns the number of unallocated devices.
-func (a *Allocator) Remaining() int { return a.topo.Len() - int(a.next) }
 
 // SortIDs sorts device ids ascending in place and returns them.
 func SortIDs(ids []DeviceID) []DeviceID {

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSummitTopologyShape(t *testing.T) {
 	topo := NewSummitTopology(8)
@@ -33,16 +36,32 @@ func TestBandwidthTiers(t *testing.T) {
 func TestGroupBandwidthBottleneck(t *testing.T) {
 	topo := NewSummitTopology(8)
 	// Group {0,1} to {2,3}: all intra-node.
-	if bw := topo.GroupBandwidth([]DeviceID{0, 1}, []DeviceID{2, 3}); bw != topo.IntraNodeBandwidth {
-		t.Errorf("intra-node group bw = %g", bw)
+	if bw, lat := topo.GroupLink([]DeviceID{0, 1}, []DeviceID{2, 3}); bw != topo.LevelDown(0) || lat != topo.LevelLatency(0) {
+		t.Errorf("intra-node group link = %g, %g", bw, lat)
 	}
 	// Group {0} to {3,4}: crosses nodes, bottlenecked by IB.
-	if bw := topo.GroupBandwidth([]DeviceID{0}, []DeviceID{3, 4}); bw != topo.InterNodeBandwidth {
-		t.Errorf("cross-node group bw = %g", bw)
+	if bw, lat := topo.GroupLink([]DeviceID{0}, []DeviceID{3, 4}); bw != topo.LevelDown(1) || lat != topo.LevelLatency(1) {
+		t.Errorf("cross-node group link = %g, %g", bw, lat)
 	}
 	// Empty groups fall back to intra-node.
-	if bw := topo.GroupBandwidth(nil, []DeviceID{0}); bw != topo.IntraNodeBandwidth {
-		t.Errorf("empty group bw = %g", bw)
+	if bw, lat := topo.GroupLink(nil, []DeviceID{0}); bw != topo.LevelDown(0) || lat != topo.LevelLatency(0) {
+		t.Errorf("empty group link = %g, %g", bw, lat)
+	}
+}
+
+// TestGroupLinkUsesBottleneckLevel pins that a transfer pays the latency
+// of the level whose bandwidth bottlenecks it, not the innermost one.
+func TestGroupLinkUsesBottleneckLevel(t *testing.T) {
+	topo, err := ParseTopology("topo:explicit/classes=v:16e9:112e12:900e9" +
+		"/levels=node:2:150e9:150e9:5e-6+rack:4:12.5e9:12.5e9:5e-4/assign=4xv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, lat := topo.GroupLink([]DeviceID{0}, []DeviceID{1}); lat != 5e-6 {
+		t.Errorf("intra-node latency = %g, want 5e-6", lat)
+	}
+	if bw, lat := topo.GroupLink([]DeviceID{0, 1}, []DeviceID{2}); bw != 12.5e9 || lat != 5e-4 {
+		t.Errorf("cross-node link = %g, %g, want 12.5e9, 5e-4", bw, lat)
 	}
 }
 
@@ -57,39 +76,12 @@ func TestGroupSpansNodesAndAllreduce(t *testing.T) {
 	if topo.GroupSpansNodes([]DeviceID{5}) {
 		t.Error("singleton group spans nodes")
 	}
-	if bw := topo.AllreduceBandwidth([]DeviceID{0, 1}); bw != topo.IntraNodeBandwidth {
-		t.Errorf("intra allreduce bw = %g", bw)
+	// A ring allreduce over a block crosses the level linking its ends.
+	if l := topo.LinkLevel(0, 1); l != 0 {
+		t.Errorf("intra-node allreduce level = %d", l)
 	}
-	if bw := topo.AllreduceBandwidth([]DeviceID{3, 4}); bw != topo.InterNodeBandwidth {
-		t.Errorf("inter allreduce bw = %g", bw)
-	}
-}
-
-func TestAllocator(t *testing.T) {
-	topo := NewSummitTopology(4)
-	a := NewAllocator(topo)
-	g1, err := a.Take(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1[0] != 0 || g1[1] != 1 {
-		t.Errorf("first allocation = %v", g1)
-	}
-	if a.Remaining() != 2 {
-		t.Errorf("Remaining = %d", a.Remaining())
-	}
-	g2, err := a.Take(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2[0] != 2 || g2[1] != 3 {
-		t.Errorf("second allocation = %v", g2)
-	}
-	if _, err := a.Take(1); err == nil {
-		t.Error("over-allocation succeeded")
-	}
-	if _, err := a.Take(0); err == nil {
-		t.Error("zero allocation succeeded")
+	if l := topo.LinkLevel(3, 4); l != 1 {
+		t.Errorf("cross-node allreduce level = %d", l)
 	}
 }
 
@@ -100,6 +92,34 @@ func TestUniformTopology(t *testing.T) {
 	}
 	if topo.Bandwidth(0, 2) != 5e9 {
 		t.Errorf("uniform bw = %g", topo.Bandwidth(0, 2))
+	}
+	if topo.LevelCount() != 1 || !topo.Flat() {
+		t.Errorf("uniform topology has %d levels, flat=%t; want one flat level", topo.LevelCount(), topo.Flat())
+	}
+}
+
+// TestCanonicalRoundTrip pins that the topologies the constructors build
+// render a spec ParseTopology accepts, and that the parsed topology
+// renders it again. Summit renders "", which stands for SummitSpec at the
+// same device count.
+func TestCanonicalRoundTrip(t *testing.T) {
+	topos := map[string]*Topology{"uniform": NewUniformTopology(4, 1e9, 5e9)}
+	for n := 1; n <= 32; n++ {
+		topos[fmt.Sprintf("summit@%d", n)] = NewSummitTopology(n)
+	}
+	for name, topo := range topos {
+		spec := topo.Canonical()
+		if spec == "" {
+			spec = SummitSpec(topo.Len()).Canonical()
+		}
+		parsed, err := ParseTopology(spec)
+		if err != nil {
+			t.Errorf("%s: Canonical() %q does not parse: %v", name, spec, err)
+			continue
+		}
+		if parsed.Canonical() != topo.Canonical() {
+			t.Errorf("%s: round trip renders %q, want %q", name, parsed.Canonical(), topo.Canonical())
+		}
 	}
 }
 

@@ -110,13 +110,8 @@ func (s Spec) Build() (*Topology, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	inner, outer := s.Levels[0], s.Levels[len(s.Levels)-1]
-	t := &Topology{
-		IntraNodeBandwidth: inner.DownBandwidth,
-		InterNodeBandwidth: outer.DownBandwidth,
-		LinkLatency:        inner.Latency,
-		levels:             append([]Level(nil), s.Levels...),
-	}
+	inner := s.Levels[0]
+	t := &Topology{levels: append([]Level(nil), s.Levels...)}
 	for i, ci := range s.Assign {
 		c := s.Classes[ci]
 		t.devices = append(t.devices, Device{

@@ -29,9 +29,8 @@ import (
 // for the same key. The snapshot key (graph hash + shape sig + cost sig)
 // pins the graph/options/cost inputs; SearchMemos isolate mini-batches;
 // entries for degrees beyond the importer's cluster are simply never
-// queried. The cost signature also separates clusters of at most four
-// devices from larger ones (its regime term), so snapshots never cross
-// that size.
+// queried. On the summit preset the cost signature is the same at every
+// device count, so a snapshot warm-starts a replan at any other size.
 
 // snapshotKey computes this planning question's compatibility identity.
 func (p *Planner) snapshotKey() memosnap.Key {
@@ -56,28 +55,28 @@ func (p *Planner) shapeSig() uint64 {
 }
 
 // costSig hashes every cost input a DP computation can observe: the
-// topology scalars (memory budget, the more-than-four-devices regime) and
-// the cost model's behavior, fingerprinted through deterministic
-// whole-graph probes at fixed configurations. The probes cover the three degree regimes a stage can occupy (no allreduce,
-// intra-node allreduce, inter-node allreduce), so changed model parameters
-// or bandwidths shift at least one probe output and the signatures
-// diverge. The conformance warm≡cold invariant is the backstop for cost
-// models whose behavior a whole-graph probe cannot distinguish.
+// topology (its canonical spec, memory budget and link levels) and the
+// cost model's behavior, fingerprinted through deterministic whole-graph
+// probes at fixed configurations. The probes cover the three degree
+// regimes a stage can occupy (no allreduce, intra-node allreduce,
+// inter-node allreduce), so changed model parameters or bandwidths shift
+// at least one probe output and the signatures diverge. The conformance
+// warm≡cold invariant is the backstop for cost models whose behavior a
+// whole-graph probe cannot distinguish.
 func (p *Planner) costSig() uint64 {
 	h := fnv.New64a()
-	interNode := p.topo.Len() > 4
 	// The canonical topology spec pins every placement-aware cost input:
 	// device classes, level bandwidths (down and up), and the class
 	// assignment. The summit preset canonicalizes to "" at every device
 	// count, which is what keeps snapshots reusable across an elastic
 	// summit resize (placement class ids are translated by signature at
 	// import); any other topology pins snapshots to its exact spec.
-	fmt.Fprintf(h, "cost2\nregime=%t\ntopo=%s\nminmem=%x\n",
-		interNode, p.topo.Canonical(), math.Float64bits(p.topo.MinMemory()))
+	fmt.Fprintf(h, "cost2\ntopo=%s\nminmem=%x\n",
+		p.topo.Canonical(), math.Float64bits(p.topo.MinMemory()))
 	fmt.Fprintf(h, "intra=%x\ninter=%x\nlat=%x\n",
-		math.Float64bits(p.topo.IntraNodeBandwidth),
-		math.Float64bits(p.topo.InterNodeBandwidth),
-		math.Float64bits(p.topo.LinkLatency))
+		math.Float64bits(p.topo.LevelDown(0)),
+		math.Float64bits(p.topo.LevelDown(p.topo.LevelCount()-1)),
+		math.Float64bits(p.topo.LevelLatency(0)))
 	dev := p.topo.Device(0)
 	fmt.Fprintf(h, "mem=%x\nflops=%x\nbw=%x\n",
 		math.Float64bits(dev.MemoryBytes), math.Float64bits(dev.PeakFLOPS), math.Float64bits(dev.MemBandwidth))
@@ -91,8 +90,9 @@ func (p *Planner) costSig() uint64 {
 	}
 	const probeMiniBatch = 64
 	for _, pr := range probes {
-		cfg := p.probeConfig(pr.b, pr.d, interNode, pr.arX)
-		c := p.model.Stage(p.g, cfg)
+		c := p.model.Stage(p.g, costmodel.StageConfig{
+			Ops: p.g.AllNodes(), MicroBatch: pr.b, DataPar: pr.d, InterNodeAllreduce: pr.arX,
+		})
 		fmt.Fprintf(h, "probe b=%d d=%d: %x %x %x %x %x %x %x\n", pr.b, pr.d,
 			math.Float64bits(c.ForwardTime), math.Float64bits(c.BackwardTime),
 			math.Float64bits(c.CommInTime), math.Float64bits(c.AllreducePerIter),
@@ -101,16 +101,6 @@ func (p *Planner) costSig() uint64 {
 	}
 	fmt.Fprintf(h, "maxtps=%x\n", math.Float64bits(p.model.MaxTPS(p.g, probeMiniBatch)))
 	return h.Sum64()
-}
-
-func (p *Planner) probeConfig(b, d int, interNode, arX bool) costmodel.StageConfig {
-	return costmodel.StageConfig{
-		Ops:                p.g.AllNodes(),
-		MicroBatch:         b,
-		DataPar:            d,
-		InterNode:          interNode,
-		InterNodeAllreduce: arX,
-	}
 }
 
 // --- export ---

@@ -68,9 +68,12 @@ func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snap
 
 // TestWarmColdEquivalence is the core property the whole feature hangs
 // on: a warm-started search produces a byte-identical strategy to a cold
-// one — at the same request, at a different device count (elastic
-// replan), and at a different mini-batch — while actually reusing entries
-// where the snapshot applies.
+// one — at the same request, at a smaller device count (elastic replan),
+// and at a different mini-batch — while actually reusing entries where the
+// snapshot applies. Every elastic replan must also solve fewer DP states
+// than its cold twin, or the snapshot machinery does not pay for itself
+// (perfbench's warm-replan workload reports the wall-clock side as
+// memosnap.warm_speedup).
 func TestWarmColdEquivalence(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
 	const devs, mb = 4, 64
@@ -95,16 +98,27 @@ func TestWarmColdEquivalence(t *testing.T) {
 		t.Errorf("warm replay explored %d states, cold %d — no savings", warm.DPStates, cold.DPStates)
 	}
 
-	// Elastic replan: same graph and mini-batch, half the devices. The
-	// 2-device search queries only degree ≤ 2 keys, all of which the
-	// 4-device snapshot carries.
-	coldHalf, _ := coldSnapshot(t, g, devs/2, mb)
-	warmHalf := warmPlan(t, g, devs/2, mb, snap)
-	if !bytes.Equal(planBytes(t, warmHalf.Strategy, devs/2, mb), planBytes(t, coldHalf.Strategy, devs/2, mb)) {
-		t.Error("warm elastic replan at devices/2 diverged from cold")
-	}
-	if !warmHalf.MemoWarmStarted || warmHalf.MemoEntriesReused == 0 {
-		t.Errorf("elastic replan reused nothing: %+v", warmHalf)
+	// Elastic replans: same graph and mini-batch, half the devices. The
+	// smaller search queries only keys of at most its own degree, and the
+	// larger snapshot carries them: at 4→2 within one node, at 8→4 from a
+	// two-node cluster down to one node.
+	_, snap8 := coldSnapshot(t, g, 2*devs, mb)
+	for _, c := range []struct {
+		from, to int
+		snap     *memosnap.Snapshot
+	}{{devs, devs / 2, snap}, {2 * devs, devs, snap8}} {
+		coldTo, _ := coldSnapshot(t, g, c.to, mb)
+		warmTo := warmPlan(t, g, c.to, mb, c.snap)
+		if !bytes.Equal(planBytes(t, warmTo.Strategy, c.to, mb), planBytes(t, coldTo.Strategy, c.to, mb)) {
+			t.Errorf("warm elastic replan %d→%d diverged from cold", c.from, c.to)
+		}
+		if !warmTo.MemoWarmStarted || warmTo.MemoEntriesReused == 0 {
+			t.Errorf("elastic replan %d→%d reused nothing: %+v", c.from, c.to, warmTo)
+		}
+		if warmTo.DPStates >= coldTo.DPStates {
+			t.Errorf("elastic replan %d→%d solved %d DP states warm, %d cold: no savings",
+				c.from, c.to, warmTo.DPStates, coldTo.DPStates)
+		}
 	}
 
 	// Mini-batch change: memo values depend on B through the allreduce
@@ -254,24 +268,29 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 
 // TestSnapshotKeySensitivity pins which inputs the compatibility key
 // tracks: structural options and cost observables change it, the device
-// count within a boundary regime does not (that is what makes elastic
-// replans warm), and crossing the inter-node regime does.
+// count on the summit preset does not (that is what makes elastic replans
+// warm, across node boundaries too), and a different topology at the same
+// device count does.
 func TestSnapshotKeySensitivity(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
-	keyFor := func(devices int, opts Options) memosnap.Key {
-		topo := cluster.NewSummitTopology(devices)
+	keyOn := func(topo *cluster.Topology, opts Options) memosnap.Key {
 		p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p.snapshotKey()
 	}
-	base := keyFor(4, Options{})
-	if k := keyFor(2, Options{}); k != base {
-		t.Errorf("device count within one regime changed the key: %+v vs %+v", k, base)
+	keyFor := func(devices int, opts Options) memosnap.Key {
+		return keyOn(cluster.NewSummitTopology(devices), opts)
 	}
-	if k := keyFor(8, Options{}); k.CostSig == base.CostSig {
-		t.Error("crossing the inter-node regime kept the cost signature")
+	base := keyFor(4, Options{})
+	for _, devices := range []int{2, 8, 16} {
+		if k := keyFor(devices, Options{}); k != base {
+			t.Errorf("summit device count %d changed the key: %+v vs %+v", devices, k, base)
+		}
+	}
+	if k := keyOn(cluster.NewUniformTopology(4, 16e9, 150e9), Options{}); k.CostSig == base.CostSig {
+		t.Error("a non-summit topology at the same device count kept the cost signature")
 	}
 	if k := keyFor(4, Options{DisableSinkAnchoredSplits: true}); k.ShapeSig == base.ShapeSig {
 		t.Error("split-rule change kept the shape signature")

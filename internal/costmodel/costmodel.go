@@ -248,7 +248,8 @@ type StageConfig struct {
 	// class in the block, boundary transfers at the block's in-link level
 	// with direction-dependent rates — and InterNode/InterNodeAllreduce are
 	// ignored. When zero the model falls back to the placement-oblivious
-	// estimates above (device 0 everywhere, two-tier bandwidth heuristics).
+	// estimates above (device 0 everywhere, the innermost level within a
+	// node and the outermost across nodes).
 	Place cluster.Block
 }
 
@@ -341,19 +342,23 @@ func (m *Analytic) Stage(g *graph.Graph, cfg StageConfig) StageCosts {
 		return out
 	}
 
-	bw := m.topo.IntraNodeBandwidth
-	if cfg.InterNode {
-		bw = m.topo.InterNodeBandwidth
-	}
+	// Placement-oblivious: the innermost level within a node, the
+	// outermost across nodes, both at their down rate and the innermost
+	// latency.
+	inner, outer := 0, m.topo.LevelCount()-1
 	if inBytes > 0 {
-		out.CommInTime = inBytes/bw + m.topo.LinkLatency
+		lvl := inner
+		if cfg.InterNode {
+			lvl = outer
+		}
+		out.CommInTime = inBytes/m.topo.LevelDown(lvl) + m.topo.LevelLatency(inner)
 		// Symmetric links: gradients return at the activation rate.
 		out.CommBackTime = out.CommInTime
 	}
 	if cfg.DataPar > 1 {
-		arBW := m.topo.IntraNodeBandwidth
+		arBW := m.topo.LevelDown(inner)
 		if cfg.InterNodeAllreduce {
-			arBW = m.topo.InterNodeBandwidth
+			arBW = m.topo.LevelDown(outer)
 		}
 		d := float64(cfg.DataPar)
 		out.AllreducePerIter = 2 * (d - 1) / d * gradBytes / arBW

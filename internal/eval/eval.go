@@ -247,6 +247,40 @@ func StageCosts(g *graph.Graph, model costmodel.Model, stage *strategy.Stage) co
 	return model.Stage(g, cfg)
 }
 
+// Transfer is the cost of one stage boundary's tensors crossing between
+// the two stages' device groups.
+type Transfer struct {
+	// PerSample is the seconds per sample at the bottleneck link's rate.
+	PerSample float64
+	// Latency is the per-transfer latency of the bottleneck link's level.
+	Latency float64
+}
+
+// Time returns the seconds a transfer of samples samples takes; a boundary
+// that carries no bytes is free.
+func (x Transfer) Time(samples int) float64 {
+	if x.PerSample == 0 {
+		return 0
+	}
+	return x.PerSample*float64(samples) + x.Latency
+}
+
+// EdgeTransfer costs the from→to boundary of a strategy at the bottleneck
+// link between the stages' device groups (cluster.Topology.GroupLink).
+// Gradients mirror activations: a backward edge carries the tensor sizes
+// of the reverse forward edge. Both backends charge transfers through it.
+func EdgeTransfer(g *graph.Graph, topo *cluster.Topology, st *strategy.Strategy, from, to strategy.StageID) Transfer {
+	bytes := g.CutBytes(st.Stages[from].Ops, st.Stages[to].Ops)
+	if bytes == 0 {
+		bytes = g.CutBytes(st.Stages[to].Ops, st.Stages[from].Ops)
+	}
+	if bytes == 0 {
+		return Transfer{}
+	}
+	bw, lat := topo.GroupLink(st.Stages[from].Devices, st.Stages[to].Devices)
+	return Transfer{PerSample: bytes / bw, Latency: lat}
+}
+
 // canonicalize sorts a copy of the timeline into the canonical order.
 // Within a stage, start times are strictly increasing (tasks run
 // sequentially and durations are positive), so the order is total and

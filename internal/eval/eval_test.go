@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -93,6 +94,58 @@ func TestBackendParityAllPlanners(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBackendParityPerLevelLatency pins that both backends charge a
+// transfer the latency of the level whose link bottlenecks it. On a
+// two-level spec whose outer latency is 100× the inner one, sim and
+// runtime agree report for report, and the outer latency reaches the
+// iteration time: the same strategy runs slower than on a copy of the
+// spec that gives both levels the inner latency.
+func TestBackendParityPerLevelLatency(t *testing.T) {
+	const spec = "topo:explicit/classes=v:16e9:112e12:900e9" +
+		"/levels=node:2:150e9:150e9:5e-6+rack:4:12.5e9:12.5e9:%s/assign=4xv"
+	slow, err := cluster.ParseTopology(fmt.Sprintf(spec, "5e-4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := cluster.ParseTopology(fmt.Sprintf(spec, "5e-6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := models.SequentialTransformer(8)
+	pl, err := planner.Get("graphpipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := pl.Plan(g, slow, 32, planner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumStages() < 2 {
+		t.Fatalf("plan has %d stage(s); the test needs a stage boundary", st.NumStages())
+	}
+	evaluate := func(backend string, topo *cluster.Topology) *eval.Report {
+		t.Helper()
+		ev, err := eval.Get(backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ev.Evaluate(g, topo, st, eval.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		return rep
+	}
+	simRep, rtRep := evaluate("sim", slow), evaluate("runtime", slow)
+	rtRep.Backend = simRep.Backend
+	if !reflect.DeepEqual(rtRep, simRep) {
+		t.Errorf("sim and runtime disagree:\n%+v\nvs\n%+v", simRep, rtRep)
+	}
+	if flat := evaluate("sim", fast); simRep.IterationTime <= flat.IterationTime {
+		t.Errorf("iteration %.9g s with the 100x outer latency, %.9g s without: the outer level's latency was not charged",
+			simRep.IterationTime, flat.IterationTime)
 	}
 }
 

@@ -6,14 +6,13 @@ import (
 	"strings"
 )
 
-// BenchLine renders the result as one `go test -bench`-style line,
-// which is the repo's lingua franca for performance numbers: fleetgen
-// output pipes straight into cmd/benchreport's existing parser and
-// lands in the committed BENCH_*.json baselines next to the planner
-// microbenchmarks, with no second ingestion path to maintain.
+// BenchLine renders the result as one `go test -bench`-style line:
+// "BenchmarkFleetGen 1" followed by value/metric pairs.
+// scripts/fleet_smoke.sh reads its fleet_warm_p99_s and fleet_cold_p50_s
+// to gate the warm fleet path against a cold plan.
 //
 // Metric names double as the "units" column, matching the harness's
-// custom-metric convention (replan_warm_s, search_s, ...). Empty
+// custom-metric convention (search_s, samples/s, ...). Empty
 // latency classes (no cold requests in a fully warm replay, say) omit
 // their metrics rather than reporting a misleading zero.
 func (r *Result) BenchLine() string {

@@ -218,29 +218,15 @@ func (rt *Runtime) Run(st *strategy.Strategy) (*Result, error) {
 	}
 	n := len(st.Stages)
 
-	// Per-sample transfer seconds for each stage edge (same tensor sizes
-	// in both directions: gradients mirror activations). Fully precomputed
-	// so the map is read-only once the stage goroutines start.
-	perSample := make(map[[2]strategy.StageID]float64)
-	rate := func(from, to strategy.StageID) float64 {
-		bytes := rt.g.CutBytes(st.Stages[from].Ops, st.Stages[to].Ops)
-		if bytes == 0 {
-			bytes = rt.g.CutBytes(st.Stages[to].Ops, st.Stages[from].Ops)
-		}
-		if bytes == 0 {
-			return 0
-		}
-		return bytes / topo.GroupBandwidth(st.Stages[from].Devices, st.Stages[to].Devices)
-	}
+	// Transfer costs for each stage edge in both directions, fully
+	// precomputed so the map is read-only once the stage goroutines start.
+	edges := make(map[[2]strategy.StageID]eval.Transfer)
 	for i := 0; i < n; i++ {
 		for _, succ := range st.Succ[i] {
 			a, b := strategy.StageID(i), succ
-			perSample[[2]strategy.StageID{a, b}] = rate(a, b)
-			perSample[[2]strategy.StageID{b, a}] = rate(b, a)
+			edges[[2]strategy.StageID{a, b}] = eval.EdgeTransfer(rt.g, topo, st, a, b)
+			edges[[2]strategy.StageID{b, a}] = eval.EdgeTransfer(rt.g, topo, st, b, a)
 		}
-	}
-	edgeRate := func(from, to strategy.StageID) float64 {
-		return perSample[[2]strategy.StageID{from, to}]
 	}
 
 	workers := make([]*stageWorker, n)
@@ -286,7 +272,7 @@ func (rt *Runtime) Run(st *strategy.Strategy) (*Result, error) {
 		wg.Add(1)
 		go func(w *stageWorker) {
 			defer wg.Done()
-			if err := rt.runStage(st, workers, w, edgeRate, topo.LinkLatency); err != nil {
+			if err := rt.runStage(st, workers, w, edges); err != nil {
 				select {
 				case errCh <- err:
 				default:
@@ -330,7 +316,7 @@ func (rt *Runtime) Run(st *strategy.Strategy) (*Result, error) {
 // until each task's inputs have arrived. The wall-clock timeout converts a
 // schedule deadlock into an error instead of a hang.
 func (rt *Runtime) runStage(st *strategy.Strategy, workers []*stageWorker, w *stageWorker,
-	edgeRate func(from, to strategy.StageID) float64, latency float64) error {
+	edges map[[2]strategy.StageID]eval.Transfer) error {
 
 	deadline := time.Now().Add(rt.opts.Timeout)
 	// awaitRange blocks until every neighbor's coverage includes the
@@ -403,22 +389,16 @@ func (rt *Runtime) runStage(st *strategy.Strategy, workers []*stageWorker, w *st
 		if task.Kind == schedule.Forward {
 			w.clock = start + w.fwdTime
 			for _, succ := range st.Succ[w.id] {
-				t := w.clock
-				if ps := edgeRate(w.id, succ); ps > 0 {
-					t += ps*float64(task.End-task.Start) + latency
-				}
+				t := w.clock + edges[[2]strategy.StageID{w.id, succ}].Time(task.End-task.Start)
 				workers[succ].actCh <- message{from: w.id, start: task.Start, end: task.End, readyAt: t}
 				w.sent++
 			}
 		} else {
 			w.clock = start + w.bwdTime
 			for _, pred := range st.Pred[w.id] {
-				t := w.clock
 				// Gradients flow succ→pred: on asymmetric hierarchies the
 				// up-link rate differs from the forward edge's down-link rate.
-				if ps := edgeRate(w.id, pred); ps > 0 {
-					t += ps*float64(task.End-task.Start) + latency
-				}
+				t := w.clock + edges[[2]strategy.StageID{w.id, pred}].Time(task.End-task.Start)
 				workers[pred].gradCh <- message{from: w.id, start: task.Start, end: task.End, readyAt: t}
 				w.sent++
 			}

@@ -71,9 +71,9 @@ type Simulator struct {
 	model costmodel.Model
 	topo  *cluster.Topology
 
-	// xfer caches per-sample transfer seconds for each stage edge of the
-	// strategy currently being simulated.
-	xfer map[[2]strategy.StageID]float64
+	// xfer caches the transfer cost of each stage edge of the strategy
+	// currently being simulated.
+	xfer map[[2]strategy.StageID]eval.Transfer
 }
 
 // New returns a Simulator.
@@ -109,7 +109,7 @@ func (sm *Simulator) Run(st *strategy.Strategy) (*Result, error) {
 	if err := st.Validate(sm.g, sm.topo); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	sm.xfer = make(map[[2]strategy.StageID]float64)
+	sm.xfer = make(map[[2]strategy.StageID]eval.Transfer)
 	n := len(st.Stages)
 	states := make([]*stageState, n)
 	for i := 0; i < n; i++ {
@@ -288,26 +288,15 @@ func rangeDone(done []float64, b, start, end int) (float64, bool) {
 }
 
 // transferTime charges the activation (or gradient) bytes for `samples`
-// samples crossing the from→to stage boundary at the bottleneck bandwidth
-// between the two device groups. Streams from different producers proceed
-// in parallel, so each boundary edge is charged independently. Per-sample
-// rates are cached per stage edge.
+// samples crossing the from→to stage boundary (eval.EdgeTransfer). Streams
+// from different producers proceed in parallel, so each boundary edge is
+// charged independently. Edge costs are cached per stage edge.
 func (sm *Simulator) transferTime(st *strategy.Strategy, from, to strategy.StageID, samples int) float64 {
 	key := [2]strategy.StageID{from, to}
-	perSample, ok := sm.xfer[key]
+	x, ok := sm.xfer[key]
 	if !ok {
-		bytes := sm.g.CutBytes(st.Stages[from].Ops, st.Stages[to].Ops)
-		// Gradient transfers (to < from in pipeline order) carry the same
-		// tensor sizes as the forward activations of the reverse edge.
-		if bytes == 0 {
-			bytes = sm.g.CutBytes(st.Stages[to].Ops, st.Stages[from].Ops)
-		}
-		bw := sm.topo.GroupBandwidth(st.Stages[from].Devices, st.Stages[to].Devices)
-		perSample = bytes / bw
-		sm.xfer[key] = perSample
+		x = eval.EdgeTransfer(sm.g, sm.topo, st, from, to)
+		sm.xfer[key] = x
 	}
-	if perSample == 0 {
-		return 0
-	}
-	return perSample*float64(samples) + sm.topo.LinkLatency
+	return x.Time(samples)
 }

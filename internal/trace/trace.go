@@ -130,8 +130,8 @@ func (c *CSV) String() string {
 	return sb.String()
 }
 
-// Markdown renders the table as a GitHub-flavored markdown table, used in
-// EXPERIMENTS.md.
+// Markdown renders the table as a GitHub-flavored markdown table, as
+// `graphpipe compare` prints it.
 func (c *CSV) Markdown() string {
 	var sb strings.Builder
 	sb.WriteString("| " + strings.Join(c.Header, " | ") + " |\n")

@@ -4,8 +4,8 @@
 # criteria from the outside: a plan computed cold on one shard is served
 # byte-identically by every other shard via peer cache-fill with no
 # second cold search, a skewed fleetgen replay meets its aggregate hit
-# ratio, the warm fleet path beats a cold plan (benchreport -check-fleet),
-# and the whole fleet drains cleanly on SIGTERM.
+# ratio, the warm fleet path beats a cold plan (fleetgen's warm p99 below
+# its cold p50), and the whole fleet drains cleanly on SIGTERM.
 #
 # Usage: scripts/fleet_smoke.sh [base_port]   (default: 8890)
 set -euo pipefail
@@ -49,7 +49,6 @@ echo "== build"
 go build -o "$work/graphpiped" ./cmd/graphpiped
 go build -o "$work/graphpipe-lb" ./cmd/graphpipe-lb
 go build -o "$work/fleetgen" ./cmd/fleetgen
-go build -o "$work/benchreport" ./cmd/benchreport
 
 peers=""
 for i in 0 1 2; do
@@ -110,9 +109,21 @@ echo "== skewed replay through the router (fleetgen)"
   -population 8 -devices 2,4 -seed 7 -min-hit-ratio 0.5 -max-errors 0 \
   -o "$work/fleetgen.json" | tee "$work/fleet-bench.txt"
 
-echo "== warm fleet path must beat a cold plan (benchreport -check-fleet)"
-"$work/benchreport" -label fleet-smoke -note "fleet smoke" \
-  -o "$work/fleet-bench.json" -in "$work/fleet-bench.txt" -check-fleet
+echo "== warm fleet path must beat a cold plan (warm p99 < cold p50)"
+# fleetgen's bench line is "BenchmarkFleetGen 1" then value/metric pairs.
+# A replay without warm or cold requests omits that metric, and a missing
+# metric fails the gate rather than skipping it.
+metric() {
+  awk -v m="$1" '$1 == "BenchmarkFleetGen" { for (i = 3; i < NF; i += 2) if ($(i + 1) == m) print $i }' \
+    "$work/fleet-bench.txt"
+}
+warm="$(metric fleet_warm_p99_s)"
+cold="$(metric fleet_cold_p50_s)"
+[[ -n "$warm" && -n "$cold" ]] \
+  || { echo "fleetgen reported no fleet_warm_p99_s ('$warm') or fleet_cold_p50_s ('$cold')"; exit 1; }
+awk -v w="$warm" -v c="$cold" 'BEGIN { exit !(w + 0 < c + 0) }' \
+  || { echo "fleet warm path regressed: warm p99 ${warm}s >= cold p50 ${cold}s"; exit 1; }
+echo "   warm p99 ${warm}s < cold p50 ${cold}s"
 
 echo "== graceful shutdown (SIGTERM all)"
 for pid in "${pids[@]}"; do
