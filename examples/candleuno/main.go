@@ -11,18 +11,24 @@ import (
 	"fmt"
 	"log"
 
-	"graphpipe/internal/baselines/pipedream"
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/sim"
+
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 func main() {
 	const devices, miniBatch = 8, 8192
 	topo := cluster.NewSummitTopology(devices)
 	model := costmodel.NewDefault(topo)
+	pipedream, err := planner.Get("pipedream")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-9s %-14s %-14s %-9s %-11s %s\n",
 		"branches", "graphpipe", "pipedream", "speedup", "gp depth", "pd depth")
@@ -32,11 +38,11 @@ func main() {
 		g := models.CANDLEUno(cfg)
 		sm := sim.New(g, model)
 
-		planner, err := core.NewPlanner(g, model, core.Options{})
+		graphpipe, err := core.NewPlanner(g, model, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		gp, err := planner.Plan(miniBatch)
+		gp, err := graphpipe.Plan(miniBatch)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,11 +51,11 @@ func main() {
 			log.Fatal(err)
 		}
 
-		pd, err := pipedream.NewPlanner(g, model, pipedream.Options{}).Plan(miniBatch)
+		pd, _, err := pipedream.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
 		if err != nil {
 			log.Fatal(err)
 		}
-		pdRes, err := sm.Run(pd.Strategy)
+		pdRes, err := sm.Run(pd)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +63,7 @@ func main() {
 		fmt.Printf("%-9d %-14.0f %-14.0f %-9.2f %-11d %d\n",
 			branches, gpRes.Throughput, pdRes.Throughput,
 			gpRes.Throughput/pdRes.Throughput,
-			gp.Strategy.Depth(), pd.Strategy.Depth())
+			gp.Strategy.Depth(), pd.Depth())
 	}
 	fmt.Println("\nGraphPipe's pipeline depth stays flat as branches are added, while")
 	fmt.Println("the sequential baseline's depth (and its warm-up/cool-down bubble)")

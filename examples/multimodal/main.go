@@ -14,14 +14,15 @@ import (
 	"os"
 	"time"
 
-	"graphpipe/internal/baselines/pipedream"
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 
-	_ "graphpipe/internal/eval/all" // register the evaluation backends
+	_ "graphpipe/internal/eval/all"    // register the evaluation backends
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 // deviceCounts is the sweep; the smoke test narrows it to keep CI fast.
@@ -39,6 +40,10 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	pipedream, err := planner.Get("pipedream")
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "%-8s %-12s %-22s %-22s %s\n", "devices", "mini-batch",
 		"graphpipe (samples/s)", "pipedream (samples/s)", "speedup")
 
@@ -53,11 +58,11 @@ func run(w io.Writer) error {
 
 		// GraphPipe: topology-aware graph pipeline stages.
 		t0 := time.Now()
-		planner, err := core.NewPlanner(g, model, core.Options{})
+		graphpipe, err := core.NewPlanner(g, model, core.Options{})
 		if err != nil {
 			return err
 		}
-		gp, err := planner.Plan(miniBatch)
+		gp, err := graphpipe.Plan(miniBatch)
 		if err != nil {
 			return err
 		}
@@ -68,11 +73,11 @@ func run(w io.Writer) error {
 		}
 
 		// PipeDream: linearized sequential pipeline.
-		pd, err := pipedream.NewPlanner(g, model, pipedream.Options{}).Plan(miniBatch)
+		pd, _, err := pipedream.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
 		if err != nil {
 			return err
 		}
-		pdRes, err := ev.Evaluate(g, topo, pd.Strategy, opts)
+		pdRes, err := ev.Evaluate(g, topo, pd, opts)
 		if err != nil {
 			return err
 		}
@@ -80,7 +85,7 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "%-8d %-12d %-22s %-22s %.2fx\n",
 			devices, miniBatch,
 			fmt.Sprintf("%.0f (depth %d, %.1fs)", gpRes.Throughput, gp.Strategy.Depth(), gpSearch.Seconds()),
-			fmt.Sprintf("%.0f (depth %d)", pdRes.Throughput, pd.Strategy.Depth()),
+			fmt.Sprintf("%.0f (depth %d)", pdRes.Throughput, pd.Depth()),
 			gpRes.Throughput/pdRes.Throughput)
 	}
 	fmt.Fprintln(w, "\nGraph pipeline parallelism executes the four modality branches")

@@ -1,47 +1,56 @@
-package pipedream
+// Package pipedream_test tests the PipeDream baseline, which lives in
+// internal/baselines, through the planner registry.
+package pipedream_test
 
 import (
 	"testing"
 
+	_ "graphpipe/internal/baselines"
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
+	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/sim"
+	"graphpipe/internal/strategy"
 )
 
-func plan(t testing.TB, devices, mini int, opts Options) (*Result, costmodel.Model) {
+func plan(g *graph.Graph, topo *cluster.Topology, mini int, opts planner.Options) (*strategy.Strategy, planner.Stats, error) {
+	p, err := planner.Get("pipedream")
+	if err != nil {
+		return nil, planner.Stats{}, err
+	}
+	return p.Plan(g, topo, mini, opts)
+}
+
+func planChain(t testing.TB, devices, mini int, opts planner.Options) *strategy.Strategy {
 	t.Helper()
-	g := models.SequentialTransformer(8)
-	topo := cluster.NewSummitTopology(devices)
-	m := costmodel.NewDefault(topo)
-	p := NewPlanner(g, m, opts)
-	r, err := p.Plan(mini)
+	st, _, err := plan(models.SequentialTransformer(8), cluster.NewSummitTopology(devices), mini, opts)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	return r, m
+	return st
 }
 
 func TestPlanChainValid(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
-	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, stats, err := plan(g, topo, 32, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("invalid strategy: %v", err)
 	}
-	if r.Strategy.Planner != "pipedream" {
-		t.Errorf("planner tag = %q", r.Strategy.Planner)
+	if st.Planner != "pipedream" {
+		t.Errorf("planner tag = %q", st.Planner)
 	}
 	// Sequential: depth equals stage count.
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
-		t.Errorf("depth %d != stages %d", r.Strategy.Depth(), r.Strategy.NumStages())
+	if st.Depth() != st.NumStages() {
+		t.Errorf("depth %d != stages %d", st.Depth(), st.NumStages())
 	}
-	if r.DPStates == 0 || r.BottleneckTPS <= 0 {
-		t.Errorf("stats missing: %+v", r)
+	if stats.DPStates == 0 || stats.BottleneckTPS <= 0 {
+		t.Errorf("stats missing: %+v", stats)
 	}
 }
 
@@ -54,31 +63,30 @@ func TestSPPStaysSequentialOnBranches(t *testing.T) {
 	cfg.LayersPerBranch = 4
 	g := models.MMT(cfg)
 	topo := cluster.NewSummitTopology(8)
-	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, _, err := plan(g, topo, 32, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatal(err)
 	}
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
+	if st.Depth() != st.NumStages() {
 		t.Errorf("SPP produced non-sequential pipeline: depth %d, stages %d",
-			r.Strategy.Depth(), r.Strategy.NumStages())
+			st.Depth(), st.NumStages())
 	}
 	// 1F1B in-flight counts decrease along the chain.
-	for i := 1; i < r.Strategy.NumStages(); i++ {
-		if r.Strategy.Stages[i].InFlightSamples > r.Strategy.Stages[i-1].InFlightSamples {
+	for i := 1; i < st.NumStages(); i++ {
+		if st.Stages[i].InFlightSamples > st.Stages[i-1].InFlightSamples {
 			t.Errorf("in-flight not monotone along chain: stage %d", i)
 		}
 	}
 }
 
 func TestUsesAllDevices(t *testing.T) {
-	r, _ := plan(t, 4, 32, Options{})
+	st := planChain(t, 4, 32, planner.Options{})
 	used := 0
-	for _, st := range r.Strategy.Stages {
-		used += len(st.Devices)
+	for _, stage := range st.Stages {
+		used += len(stage.Devices)
 	}
 	if used != 4 {
 		t.Errorf("devices used = %d, want 4", used)
@@ -86,23 +94,21 @@ func TestUsesAllDevices(t *testing.T) {
 }
 
 func TestForcedMicroBatch(t *testing.T) {
-	r, _ := plan(t, 4, 32, Options{ForcedMicroBatch: 4})
-	for _, st := range r.Strategy.Stages {
-		if st.Config.MicroBatch != 4 {
-			t.Errorf("micro-batch = %d, want 4", st.Config.MicroBatch)
+	st := planChain(t, 4, 32, planner.Options{ForcedMicroBatch: 4})
+	for _, stage := range st.Stages {
+		if stage.Config.MicroBatch != 4 {
+			t.Errorf("micro-batch = %d, want 4", stage.Config.MicroBatch)
 		}
 	}
 	g := models.SequentialTransformer(8)
-	topo := cluster.NewSummitTopology(4)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{ForcedMicroBatch: 5}).Plan(32); err == nil {
+	if _, _, err := plan(g, cluster.NewSummitTopology(4), 32, planner.Options{ForcedMicroBatch: 5}); err == nil {
 		t.Error("accepted non-dividing forced micro-batch")
 	}
 }
 
 func TestInvalidMiniBatch(t *testing.T) {
 	g := models.SequentialTransformer(4)
-	topo := cluster.NewSummitTopology(2)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}).Plan(0); err == nil {
+	if _, _, err := plan(g, cluster.NewSummitTopology(2), 0, planner.Options{}); err == nil {
 		t.Error("accepted zero mini-batch")
 	}
 }
@@ -110,7 +116,7 @@ func TestInvalidMiniBatch(t *testing.T) {
 func TestInfeasibleMemory(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewUniformTopology(4, 1e6, 100e9)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}).Plan(32); err == nil {
+	if _, _, err := plan(g, topo, 32, planner.Options{}); err == nil {
 		t.Error("planned into 1MB devices")
 	}
 }
@@ -118,12 +124,11 @@ func TestInfeasibleMemory(t *testing.T) {
 func TestStrategySimulates(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
-	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, _, err := plan(g, topo, 32, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.New(g, m).Run(r.Strategy)
+	res, err := sim.New(g, costmodel.NewDefault(topo)).Run(st)
 	if err != nil {
 		t.Fatalf("simulation failed: %v", err)
 	}

@@ -46,7 +46,7 @@ import (
 	"sort"
 	"time"
 
-	"graphpipe/internal/baselines/piper"
+	"graphpipe/internal/baselines"
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
@@ -317,7 +317,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 	baseOpts := planner.Options{Workers: 1, MemoSink: func(s *memosnap.Snapshot) { snap = s }}
 	base, baseStats, err := plan(g, topo, plannerName, mb, baseOpts, cfg)
 	if err != nil {
-		if errors.Is(err, piper.ErrSearchExplosion) {
+		if errors.Is(err, baselines.ErrSearchExplosion) {
 			return []failure{{detail: fmt.Sprintf("search budget exhausted (%v)", err), skip: true}}
 		}
 		return []failure{{invariant: InvPlannerFailure,
@@ -496,7 +496,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 			} else {
 				st, _, err := plan(g, pt.topo, plannerName, dmb, planner.Options{Workers: 1}, cfg)
 				if err != nil {
-					if errors.Is(err, piper.ErrSearchExplosion) {
+					if errors.Is(err, baselines.ErrSearchExplosion) {
 						fails = append(fails, failure{skip: true,
 							detail: fmt.Sprintf("search budget exhausted at %d devices (%v)", devs, err)})
 					} else {
@@ -560,7 +560,7 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		}
 		coldSt, _, err := plan(g, ptopo, plannerName, pt.mb, planner.Options{Workers: 1}, cfg)
 		if err != nil {
-			if errors.Is(err, piper.ErrSearchExplosion) {
+			if errors.Is(err, baselines.ErrSearchExplosion) {
 				fails = append(fails, failure{skip: true,
 					detail: fmt.Sprintf("search budget exhausted at %s (%v)", pt.label, err)})
 			} else {

@@ -55,6 +55,7 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
 	"graphpipe/internal/spgraph"
 	"graphpipe/internal/strategy"
@@ -64,11 +65,8 @@ import (
 // (§6): synchronous 1F1B and a single micro-batch size shared by all
 // stages, searched over powers of two.
 type Options struct {
-	// MicroBatchCandidates overrides the candidate micro-batch sizes.
-	// Empty means powers of two dividing the mini-batch size, capped at
-	// MaxMicroBatch.
-	MicroBatchCandidates []int
-	// MaxMicroBatch caps the candidate micro-batch sizes (default 4096).
+	// MaxMicroBatch caps the candidate micro-batch sizes, powers of two
+	// dividing the mini-batch (default planner.DefaultMaxMicroBatch).
 	MaxMicroBatch int
 	// KCandidates are the kFkB candidates (default {1}: 1F1B).
 	KCandidates []int
@@ -87,8 +85,6 @@ type Options struct {
 	// necessarily contains the concatenation operator"). Exists for the
 	// ablation benchmarks only.
 	DisableSinkAnchoredSplits bool
-	// Epsilon is the relative binary-search tolerance (default 2e-3).
-	Epsilon float64
 	// Workers bounds the planning worker pool shared by the
 	// per-micro-batch binary searches and the per-probe root branch
 	// enumeration: 0 means one worker per available CPU, 1 forces the
@@ -133,16 +129,17 @@ func (p *Planner) span(name string, kv ...string) func() {
 
 func (o Options) withDefaults() Options {
 	if o.MaxMicroBatch == 0 {
-		o.MaxMicroBatch = 4096
+		o.MaxMicroBatch = planner.DefaultMaxMicroBatch
 	}
 	if len(o.KCandidates) == 0 {
 		o.KCandidates = []int{1}
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 2e-3
-	}
 	return o
 }
+
+// epsilon is the binary search's tolerance relative to the largest stage
+// TPS.
+const epsilon = 2e-3
 
 // Result is a planning outcome with search statistics.
 type Result struct {
@@ -305,35 +302,6 @@ func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) (*Planner, 
 	}
 	p.places = cluster.NewPlacementTable(p.topo)
 	return p, nil
-}
-
-// microBatchCandidates returns the candidate micro-batch sizes for
-// mini-batch B, largest first so ties in the DP prefer compute efficiency.
-func (p *Planner) microBatchCandidates(miniBatch int) []int {
-	if p.opts.ForcedMicroBatch > 0 {
-		if miniBatch%p.opts.ForcedMicroBatch != 0 {
-			return nil
-		}
-		return []int{p.opts.ForcedMicroBatch}
-	}
-	if len(p.opts.MicroBatchCandidates) > 0 {
-		var out []int
-		for _, b := range p.opts.MicroBatchCandidates {
-			if b >= 1 && miniBatch%b == 0 {
-				out = append(out, b)
-			}
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(out)))
-		return out
-	}
-	var out []int
-	for b := 1; b <= miniBatch && b <= p.opts.MaxMicroBatch; b *= 2 {
-		if miniBatch%b == 0 {
-			out = append(out, b)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // allowedDegree reports whether d is a permitted per-stage data-parallel
@@ -1117,7 +1085,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 	if miniBatch <= 0 {
 		return nil, fmt.Errorf("core: invalid mini-batch %d", miniBatch)
 	}
-	bCands := p.microBatchCandidates(miniBatch)
+	bCands := planner.MicroBatchCandidates(miniBatch, p.opts.ForcedMicroBatch, p.opts.MaxMicroBatch)
 	if len(bCands) == 0 {
 		return nil, fmt.Errorf("core: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
 	}
@@ -1142,7 +1110,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 	}
 
 	maxTPS := p.model.MaxTPS(p.g, miniBatch)
-	eps := p.opts.Epsilon * maxTPS
+	eps := epsilon * maxTPS
 
 	// Warm start: resolve this planning question's snapshot key and ask
 	// the provider for a prior memo. The key binds graph, structural

@@ -191,16 +191,6 @@ func TestBottleneckTPSDecreasesWithDevices(t *testing.T) {
 	}
 }
 
-func TestMicroBatchCandidatesOption(t *testing.T) {
-	g := models.SequentialTransformer(4)
-	r := planFor(t, g, 2, 32, Options{MicroBatchCandidates: []int{4, 8, 3}})
-	for _, st := range r.Strategy.Stages {
-		if b := st.Config.MicroBatch; b != 4 && b != 8 {
-			t.Errorf("micro-batch %d not among valid candidates", b)
-		}
-	}
-}
-
 func TestPerStageMicroBatchSearch(t *testing.T) {
 	// A deliberately heterogeneous model: a compute-light branch segment
 	// followed by a compute-heavy one, so different stages prefer

@@ -42,14 +42,14 @@ func (p *Planner) snapshotKey() memosnap.Key {
 }
 
 // shapeSig hashes the options that change which DP states exist or how
-// keys pack: candidate sets and split rules. Epsilon and Workers are
-// deliberately excluded — the validity intervals make entries correct for
-// any target, and the worker count never changes a value (both pinned by
-// the determinism conformance invariant).
+// keys pack: candidate sets and split rules. The binary-search tolerance
+// and Workers are deliberately excluded — the validity intervals make
+// entries correct for any target, and the worker count never changes a
+// value (both pinned by the determinism conformance invariant).
 func (p *Planner) shapeSig() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "shape3\nmbc=%v\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\n",
-		p.opts.MicroBatchCandidates, p.opts.MaxMicroBatch, p.opts.KCandidates,
+	fmt.Fprintf(h, "shape4\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\n",
+		p.opts.MaxMicroBatch, p.opts.KCandidates,
 		p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits)
 	return h.Sum64()
 }

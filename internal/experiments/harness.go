@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"graphpipe/internal/baselines/piper"
+	"graphpipe/internal/baselines"
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
@@ -210,7 +210,7 @@ func RunGrid(jobs []Job) []Outcome {
 // IsExplosion reports whether an outcome failed because of Piper's
 // exponential state space (as opposed to memory infeasibility).
 func IsExplosion(o Outcome) bool {
-	return o.Failed && errors.Is(o.Err, piper.ErrSearchExplosion)
+	return o.Failed && errors.Is(o.Err, baselines.ErrSearchExplosion)
 }
 
 // FmtThroughput renders a throughput cell, with ✗ for failures.

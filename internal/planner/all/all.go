@@ -6,7 +6,6 @@
 package all
 
 import (
-	_ "graphpipe/internal/baselines/pipedream"
-	_ "graphpipe/internal/baselines/piper"
+	_ "graphpipe/internal/baselines"
 	_ "graphpipe/internal/core"
 )

@@ -14,6 +14,7 @@
 package planner
 
 import (
+	"slices"
 	"time"
 
 	"graphpipe/internal/cluster"
@@ -29,8 +30,8 @@ type Options struct {
 	// ForcedMicroBatch restricts the search to exactly one micro-batch
 	// size (Figure 7 right, Figure 9's "Parallel" arm). All planners.
 	ForcedMicroBatch int
-	// MaxMicroBatch caps the candidate micro-batch sizes (default 4096).
-	// All planners.
+	// MaxMicroBatch caps the candidate micro-batch sizes (default
+	// DefaultMaxMicroBatch). All planners.
 	MaxMicroBatch int
 	// Workers bounds the planning worker pool: 0 means one worker per
 	// available CPU, 1 forces the sequential path. Read by planners with
@@ -47,8 +48,8 @@ type Options struct {
 	// chosen strategy is identical either way — the conformance harness
 	// exists to keep proving that. graphpipe only.
 	FreshProbeMemo bool
-	// StateBudget bounds Piper's DP states plus enumeration steps
-	// (default 5e7), reproducing Table 1's ✗ entries. piper only.
+	// StateBudget bounds Piper's DP states plus enumerated candidate
+	// stages (default 5e7), reproducing Table 1's ✗ entries. piper only.
 	StateBudget int
 	// Timeout bounds Piper's planning wall-clock (default 5 minutes).
 	// piper only.
@@ -77,6 +78,35 @@ type Options struct {
 	Span func(name string, kv ...string) func()
 }
 
+// DefaultMaxMicroBatch caps the candidate micro-batch sizes when no
+// planner option sets a cap.
+const DefaultMaxMicroBatch = 4096
+
+// MicroBatchCandidates returns the micro-batch sizes every planner searches
+// for a mini-batch, largest first so that ties prefer compute efficiency:
+// forced alone when it is set (none when it does not divide the
+// mini-batch), else the powers of two that divide the mini-batch, up to
+// limit (DefaultMaxMicroBatch when limit is zero).
+func MicroBatchCandidates(miniBatch, forced, limit int) []int {
+	if forced > 0 {
+		if miniBatch%forced != 0 {
+			return nil
+		}
+		return []int{forced}
+	}
+	if limit == 0 {
+		limit = DefaultMaxMicroBatch
+	}
+	var out []int
+	for b := 1; b <= miniBatch && b <= limit; b *= 2 {
+		if miniBatch%b == 0 {
+			out = append(out, b)
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
 // Model resolves the cost model for a topology: the override if set, the
 // default otherwise.
 func (o Options) Model(topo *cluster.Topology) costmodel.Model {
@@ -92,10 +122,11 @@ type Stats struct {
 	// BottleneckTPS is the achieved max-stage time-per-sample
 	// (Equation 1 objective).
 	BottleneckTPS float64
-	// DPStates counts dynamic-programming subproblems (or, for Piper,
-	// states plus enumeration steps). Under a parallel search the count
-	// can vary slightly between runs: concurrent workers may evaluate a
-	// memoized subproblem twice before the first result lands.
+	// DPStates counts dynamic-programming subproblems; for the SPP
+	// baselines (pipedream, piper), subproblems plus the candidate stages
+	// they enumerated. Under a parallel search the count can vary slightly
+	// between runs: concurrent workers may evaluate a memoized subproblem
+	// twice before the first result lands.
 	DPStates int
 	// BinaryIters counts binary-search iterations (graphpipe only).
 	BinaryIters int

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +48,26 @@ func TestNamesSorted(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Errorf("Names() not sorted: %v", names)
+		}
+	}
+}
+
+// TestMicroBatchCandidates pins the one candidate rule every planner
+// searches.
+func TestMicroBatchCandidates(t *testing.T) {
+	for _, c := range []struct {
+		mini, forced, limit int
+		want                []int
+	}{
+		{mini: 48, want: []int{16, 8, 4, 2, 1}},
+		{mini: 64, limit: 8, want: []int{8, 4, 2, 1}},
+		{mini: 1 << 14, want: []int{4096, 2048, 1024, 512, 256, 128, 64, 32, 16, 8, 4, 2, 1}},
+		{mini: 48, forced: 3, want: []int{3}},
+		{mini: 48, forced: 5},
+	} {
+		got := planner.MicroBatchCandidates(c.mini, c.forced, c.limit)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("MicroBatchCandidates(%d, %d, %d) = %v, want %v", c.mini, c.forced, c.limit, got, c.want)
 		}
 	}
 }
