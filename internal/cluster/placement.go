@@ -1,16 +1,12 @@
 package cluster
 
-import (
-	"fmt"
-	"strings"
-)
-
-// PlacementTable interns the cost-equivalence classes of contiguous device
-// blocks. Two blocks share a class exactly when every placement-aware cost
-// the planner computes — per-op compute times (device-class sequence),
-// boundary transfer rates (the level of the link feeding the block), and
-// allreduce bandwidth (internal link levels) — is identical, so a DP memo
-// entry keyed by class is valid for every block of that class.
+// PlacementTable numbers the cost-equivalence classes of contiguous device
+// blocks. Two blocks of one size share a class exactly when every
+// placement-aware cost the planner computes — per-op compute times
+// (device-class sequence), boundary transfer rates (the level of the link
+// feeding the block), and allreduce bandwidth (internal link levels) — is
+// identical, so a DP memo entry keyed by (size, class) is valid for every
+// block of that class.
 //
 // The class signature is hereditary under aligned sub-splits: splitting
 // two same-class blocks at the same offset yields pairwise same-class
@@ -18,107 +14,65 @@ import (
 // half's in-link is an internal link of the parent, also identical). That
 // is what makes memo sharing across blocks sound.
 //
-// On a flat uniform topology every block of a given size is one class, so
-// the placement dimension collapses and the table adds no search state.
-// When a topology needs more classes than the DP key's placement field can
-// hold (MaxPlacementClasses), the table degrades to start-keyed placement:
-// each block is identified by its start offset, which always fits the
-// field. That forfeits memo sharing across equivalent blocks but never
-// soundness.
+// Classes are numbered per block size: a block's id is the rank of its
+// signature among the distinct signatures of same-size blocks, taken in
+// start order. An id therefore depends only on the devices up to the
+// block, so a topology that is a device prefix of another (summit at n
+// devices is one of summit at more) gives every block the two share the
+// same id. A size-c block of an n-device topology has at most n-c+1
+// classes. On a flat uniform topology every size is one class, so the
+// placement dimension collapses and the table adds no search state.
 type PlacementTable struct {
 	n int
-	// byStart marks the degraded start-keyed mode: Class returns the block
-	// start, and no interning happened.
-	byStart bool
-	// class[start*n + (count-1)] is the interned class of Block{start, count}.
-	class []uint16
-	reps  []Block  // one representative block per class
-	sigs  []string // class signature, indexed by class id
+	// class[start*n + (count-1)] is the class id of Block{start, count}.
+	class []int32
+	// reps[count-1][id] is the start of the first block of that size and
+	// class.
+	reps [][]int
 }
 
-// MaxPlacementClasses bounds how many placement classes fit in the DP
-// key's 8-bit placement field. Fully irregular (or simply very large)
-// topologies can exceed it — up to n(n+1)/2 distinct classes — and then
-// the table falls back to start-keyed placement instead of corrupting
-// keys.
-const MaxPlacementClasses = 256
-
 // NewPlacementTable builds the class table for every contiguous block of
-// the topology.
+// the topology. A block's signature is the signature of the block one
+// device shorter plus the level of the link into its last device and that
+// device's class, so each size interns (shorter block's id, level, class)
+// triples, and building the table takes time linear in the number of
+// blocks.
 func NewPlacementTable(t *Topology) *PlacementTable {
 	n := t.Len()
-	pt := &PlacementTable{n: n, class: make([]uint16, n*n)}
-	seen := make(map[string]uint16)
-	var sb strings.Builder
+	pt := &PlacementTable{n: n, class: make([]int32, n*n), reps: make([][]int, n)}
+	type sig struct{ prefix, level, class int32 }
 	for count := 1; count <= n; count++ {
+		seen := make(map[sig]int32)
 		for start := 0; start+count <= n; start++ {
-			sb.Reset()
-			fmt.Fprintf(&sb, "in%d", t.InLinkLevel(start))
-			for i := start; i < start+count; i++ {
-				fmt.Fprintf(&sb, ",%d", t.ClassOf(DeviceID(i)))
-				if i > start {
-					fmt.Fprintf(&sb, "@%d", t.LinkLevel(DeviceID(i-1), DeviceID(i)))
-				}
+			last := start + count - 1
+			k := sig{prefix: -1, level: int32(t.InLinkLevel(last)), class: int32(t.ClassOf(DeviceID(last)))}
+			if count > 1 {
+				k.prefix = pt.class[start*n+count-2]
 			}
-			sig := sb.String()
-			ci, ok := seen[sig]
+			id, ok := seen[k]
 			if !ok {
-				if len(pt.reps) >= MaxPlacementClasses {
-					return newStartKeyedTable(n)
-				}
-				ci = uint16(len(pt.reps))
-				seen[sig] = ci
-				pt.reps = append(pt.reps, Block{Start: start, Count: count})
-				pt.sigs = append(pt.sigs, sig)
+				id = int32(len(pt.reps[count-1]))
+				seen[k] = id
+				pt.reps[count-1] = append(pt.reps[count-1], start)
 			}
-			pt.class[start*n+count-1] = ci
+			pt.class[start*n+count-1] = id
 		}
 	}
 	return pt
 }
 
-// newStartKeyedTable is the degraded mode: class id = block start. The
-// signatures are the start offsets, so snapshot translation across two
-// start-keyed topologies maps offset to offset (sound whenever the cost
-// signature matched — the topologies then agree on every shared block).
-func newStartKeyedTable(n int) *PlacementTable {
-	pt := &PlacementTable{n: n, byStart: true}
-	pt.sigs = make([]string, n)
-	for i := range pt.sigs {
-		pt.sigs[i] = fmt.Sprintf("s%d", i)
-	}
-	return pt
-}
-
-// Class returns the interned class id of the block [start, start+count).
+// Class returns the class id of the block [start, start+count) among the
+// blocks of its size.
 func (pt *PlacementTable) Class(start, count int) int {
-	if pt.byStart {
-		return start
-	}
 	return int(pt.class[start*pt.n+count-1])
 }
 
-// NumClasses returns how many distinct class ids the table can emit.
-func (pt *PlacementTable) NumClasses() int {
-	if pt.byStart {
-		return pt.n
-	}
-	return len(pt.reps)
-}
+// NumClasses returns how many classes the blocks of the given size form.
+func (pt *PlacementTable) NumClasses(count int) int { return len(pt.reps[count-1]) }
 
 // Rep returns a block representative of the given class at the given
 // count: any block of the class has identical costs, so cost queries use
 // the representative and share cache entries.
 func (pt *PlacementTable) Rep(class, count int) Block {
-	if pt.byStart {
-		return Block{Start: class, Count: count}
-	}
-	return pt.reps[class]
+	return Block{Start: pt.reps[count-1][class], Count: count}
 }
-
-// Signatures returns the class signatures in class-id order. Class ids are
-// NOT stable across topologies that merely share per-device costs (a larger
-// topology can intern extra classes between two ids the smaller one has),
-// so persisted state that carries class ids must also carry this list and
-// translate ids by signature on load.
-func (pt *PlacementTable) Signatures() []string { return pt.sigs }

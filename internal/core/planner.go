@@ -172,9 +172,9 @@ type Planner struct {
 
 	zones *zoneTable
 
-	// places interns the cost-equivalence classes of contiguous device
-	// blocks; the class of a stage's block is the placement dimension of
-	// the DP key.
+	// places numbers the cost-equivalence classes of contiguous device
+	// blocks per block size; the class of a stage's block is the placement
+	// dimension of the DP key.
 	places *cluster.PlacementTable
 
 	// evalCaches memoizes per-(zone, micro-batch, devices, placement
@@ -435,8 +435,10 @@ func better(a, b *dpResult) *dpResult {
 // dpKey packs a DP state into one word: zone id (14 bits), devices (7),
 // placement class (8), source config index (6), successor presence +
 // config index (1+6), successor in-flight samples (22). The placement
-// class is the interned cost-equivalence class of the contiguous device
-// block the zone lands on (cluster.PlacementTable). Packing keeps memo
+// class is the cost-equivalence class of the contiguous device block the
+// zone lands on among the blocks of its size (cluster.PlacementTable); a
+// size-d block of an n-device cluster has at most n-d+1 ≤ 127 classes, so
+// the device bound also bounds the class field. Packing keeps memo
 // lookups cheap; the hot path is hundreds of millions of lookups for the
 // largest models. Plan validates every field's range up front
 // (validateKeyRanges), so the packing cannot silently alias distinct
@@ -573,11 +575,10 @@ func (s *search) makeKey(zoneID, d, start int, cf schedule.Config, cb *schedule.
 // proves once per Plan that the masks cannot truncate, so an oversized model
 // fails loudly instead of silently colliding memo keys.
 const (
-	maxZoneID     = 1<<14 - 1
-	maxKeyDevs    = 1<<7 - 1
-	maxPlaceClass = 1<<8 - 1
-	maxCfgIdx     = 1<<6 - 1
-	maxKInFlight  = 1<<22 - 1
+	maxZoneID    = 1<<14 - 1
+	maxKeyDevs   = 1<<7 - 1
+	maxCfgIdx    = 1<<6 - 1
+	maxKInFlight = 1<<22 - 1
 )
 
 // validateKeyRanges checks that every field makeKey packs fits its bit
@@ -594,10 +595,6 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 	}
 	if d := p.topo.Len(); d > maxKeyDevs {
 		return fmt.Errorf("core: %d devices exceed the DP key's %d-device limit", d, maxKeyDevs)
-	}
-	if p.places.NumClasses()-1 > maxPlaceClass {
-		return fmt.Errorf("core: %d placement classes exceed the DP key's %d-class limit",
-			p.places.NumClasses(), maxPlaceClass+1)
 	}
 	nCfg := len(p.opts.KCandidates)
 	if p.opts.PerStageMicroBatch {
@@ -1032,7 +1029,7 @@ func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, ma
 	out.search = s
 	if sm := snap.Search(miniBatch, b); sm != nil && !p.opts.FreshProbeMemo {
 		endImport := p.span("memo.import", "b", strconv.Itoa(b))
-		out.warmed = s.importMemo(sm, snap.Placements)
+		out.warmed = s.importMemo(sm)
 		endImport()
 	}
 	probe := func(tmax float64) *dpResult {

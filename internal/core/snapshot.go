@@ -21,16 +21,18 @@ import (
 // out identical. Costs depend on the graph, the structural options, the
 // topology observables, and the mini-batch (through the TPS objective's
 // allreduce term) — but not on the cluster size: a stage is costed
-// against its device block, and a key names the block by its placement
-// class, whose signature (device classes, in-link and internal link
-// levels) fixes every cost the stage can see. Import translates class ids
-// by signature and drops classes the importer lacks, so an entry computed
-// at 32 devices is exactly what a 16-device search would have computed
-// for the same key. The snapshot key (graph hash + shape sig + cost sig)
-// pins the graph/options/cost inputs; SearchMemos isolate mini-batches;
-// entries for degrees beyond the importer's cluster are simply never
-// queried. On the summit preset the cost signature is the same at every
-// device count, so a snapshot warm-starts a replan at any other size.
+// against its device block, and a key names the block by its size and its
+// placement class, whose signature (device classes, in-link and internal
+// link levels) fixes every cost the stage can see. The snapshot key
+// (graph hash + shape sig + cost sig) pins the graph/options/cost inputs;
+// SearchMemos isolate mini-batches. The cost signature pins the exact
+// topology, except on the summit preset, where it is the same at every
+// device count. Summit at n devices is a device prefix of summit at more,
+// and class ids are numbered per block size in start order, so every block
+// the two sizes share carries the same id in both: an entry computed at 32
+// devices is exactly what a 16-device search would have computed for the
+// same key. Entries for degrees or classes the importer's cluster lacks
+// are simply never queried.
 
 // snapshotKey computes this planning question's compatibility identity.
 func (p *Planner) snapshotKey() memosnap.Key {
@@ -69,8 +71,8 @@ func (p *Planner) costSig() uint64 {
 	// device classes, level bandwidths (down and up), and the class
 	// assignment. The summit preset canonicalizes to "" at every device
 	// count, which is what keeps snapshots reusable across an elastic
-	// summit resize (placement class ids are translated by signature at
-	// import); any other topology pins snapshots to its exact spec.
+	// summit resize (its placement class ids are stable across sizes);
+	// any other topology pins snapshots to its exact spec.
 	fmt.Fprintf(h, "cost2\ntopo=%s\nminmem=%x\n",
 		p.topo.Canonical(), math.Float64bits(p.topo.MinMemory()))
 	fmt.Fprintf(h, "intra=%x\ninter=%x\nlat=%x\n",
@@ -114,7 +116,7 @@ func (p *Planner) costSig() uint64 {
 // search exports nothing, which makes Merge accumulation drift-free
 // (pinned by test).
 func (p *Planner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
-	snap := &memosnap.Snapshot{Key: key, Placements: p.places.Signatures()}
+	snap := &memosnap.Snapshot{Key: key, Devices: int32(p.topo.Len())}
 	for i := range results {
 		if s := results[i].search; s != nil {
 			snap.Searches = append(snap.Searches, p.exportSearch(s))
@@ -139,7 +141,6 @@ func (p *Planner) exportSearch(s *search) memosnap.SearchMemo {
 	sm := memosnap.SearchMemo{
 		MiniBatch: int32(s.miniBatch),
 		RootB:     int32(s.rootB),
-		Devices:   int32(p.topo.Len()),
 		NumZones:  int32(len(p.zones.sets)),
 		Configs:   snapConfigs(s.cfgs),
 		Boundary:  snapConfigs(s.boundary),
@@ -238,17 +239,10 @@ func (p *Planner) exportSearch(s *search) memosnap.SearchMemo {
 // frozen config and boundary lists (key packing indexes into them), the
 // same zone-table size, and every node and key field in range. The checks
 // make a stale or foreign snapshot a no-op rather than a wrong plan; the
-// warm≡cold conformance invariant enforces that end to end.
-//
-// placements is the exporting snapshot's placement-class signature list.
-// Placement class ids are not stable across device counts (a larger summit
-// interns classes the smaller one lacks, shifting later ids), so when the
-// exporter's list differs from this search's table the imported keys'
-// placement fields are translated id→signature→id; entries whose signature
-// this topology does not have are dropped — they describe blocks that do
-// not exist here and could otherwise alias local classes. A key that is
-// invalid after translation still rejects the whole memo.
-func (s *search) importMemo(sm *memosnap.SearchMemo, placements []string) bool {
+// warm≡cold conformance invariant enforces that end to end. Keys are used
+// as exported: a placement class id names the same block signature at
+// every device count that shares this cost signature.
+func (s *search) importMemo(sm *memosnap.SearchMemo) bool {
 	p := s.p
 	if int(sm.MiniBatch) != s.miniBatch || int(sm.RootB) != s.rootB {
 		return false
@@ -258,29 +252,6 @@ func (s *search) importMemo(sm *memosnap.SearchMemo, placements []string) bool {
 	}
 	if !configsEqual(sm.Configs, s.cfgs) || !configsEqual(sm.Boundary, s.boundary) {
 		return false
-	}
-	// A snapshot without placement signatures cannot name the blocks its
-	// keys were costed on.
-	if len(placements) == 0 {
-		return false
-	}
-	// placeMap translates the exporter's class ids to this table's; -1
-	// marks a class this topology does not have. nil means identity.
-	var placeMap []int
-	local := p.places.Signatures()
-	if !slices.Equal(placements, local) {
-		bySig := make(map[string]int, len(local))
-		for i, sig := range local {
-			bySig[sig] = i
-		}
-		placeMap = make([]int, len(placements))
-		for i, sig := range placements {
-			if li, ok := bySig[sig]; ok {
-				placeMap[i] = li
-			} else {
-				placeMap[i] = -1
-			}
-		}
 	}
 
 	nLeaves := 0
@@ -337,47 +308,8 @@ func (s *search) importMemo(sm *memosnap.SearchMemo, placements []string) bool {
 
 	// Validate every packed key's fields against this search's tables
 	// before accepting anything: a single bad key rejects the whole memo,
-	// keeping "imported" an all-or-nothing property per search (dropped
-	// untranslatable-placement entries excepted — those are valid keys of
-	// a different topology, not corruption).
+	// keeping "imported" an all-or-nothing property per search.
 	entries := sm.Entries
-	if placeMap != nil {
-		// Translate placement fields into this table's ids on a copy (the
-		// snapshot may be merged and re-encoded later), dropping entries
-		// whose class does not exist here, then restore the (Key, Lo, Hi)
-		// sort order the fallback's binary search requires.
-		entries = make([]memosnap.Entry, 0, len(sm.Entries))
-		for _, e := range sm.Entries {
-			pid := int(e.Key >> 21 & 0xFF)
-			if pid >= len(placeMap) {
-				return false
-			}
-			if placeMap[pid] < 0 {
-				continue
-			}
-			e.Key = e.Key&^(uint64(0xFF)<<21) | uint64(placeMap[pid])<<21
-			entries = append(entries, e)
-		}
-		slices.SortFunc(entries, func(a, b memosnap.Entry) int {
-			switch {
-			case a.Key != b.Key:
-				if a.Key < b.Key {
-					return -1
-				}
-				return 1
-			case a.Lo != b.Lo:
-				if a.Lo < b.Lo {
-					return -1
-				}
-				return 1
-			case a.Hi < b.Hi:
-				return -1
-			case a.Hi > b.Hi:
-				return 1
-			}
-			return 0
-		})
-	}
 	for i := range entries {
 		if !s.validKey(dpKey(entries[i].Key)) || badSpan(entries[i].Lo, entries[i].Hi) {
 			return false
@@ -441,18 +373,16 @@ func badSpan(lo, hi float64) bool {
 
 // validKey range-checks every field of a packed DP key against this
 // search's zone and config tables — the import-side counterpart of
-// validateKeyRanges. Keys whose degree exceeds this cluster are valid:
-// the search never queries them, and keeping them lets a device sweep
-// accumulate one snapshot.
+// validateKeyRanges. Keys whose degree or placement class this cluster
+// lacks are valid: the search never queries them.
 func (s *search) validKey(k dpKey) bool {
 	if k == 0 { // 0 is the empty-slot sentinel; a real key has devices ≥ 1
 		return false
 	}
 	zone := int(uint64(k) & 0x3FFF)
 	d := int(uint64(k) >> 14 & 0x7F)
-	place := int(uint64(k) >> 21 & 0xFF)
 	srcIdx := int(uint64(k) >> 29 & 0x3F)
-	if zone >= len(s.p.zones.sets) || d < 1 || srcIdx >= len(s.cfgs) || place >= s.p.places.NumClasses() {
+	if zone >= len(s.p.zones.sets) || d < 1 || srcIdx >= len(s.cfgs) {
 		return false
 	}
 	if uint64(k)>>35&1 == 0 {

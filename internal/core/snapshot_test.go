@@ -68,11 +68,11 @@ func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snap
 
 // TestWarmColdEquivalence is the core property the whole feature hangs
 // on: a warm-started search produces a byte-identical strategy to a cold
-// one — at the same request, at a smaller device count (elastic replan),
-// and at a different mini-batch — while actually reusing entries where the
-// snapshot applies. Every elastic replan must also solve fewer DP states
-// than its cold twin, or the snapshot machinery does not pay for itself
-// (perfbench's warm-replan workload reports the wall-clock side as
+// one — at the same request, at a smaller or larger device count (elastic
+// replan), and at a different mini-batch — while actually reusing entries
+// where the snapshot applies. Every elastic replan must also solve fewer
+// DP states than its cold twin, or the snapshot machinery does not pay for
+// itself (perfbench's warm-replan workload reports the wall-clock side as
 // memosnap.warm_speedup).
 func TestWarmColdEquivalence(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
@@ -98,17 +98,22 @@ func TestWarmColdEquivalence(t *testing.T) {
 		t.Errorf("warm replay explored %d states, cold %d — no savings", warm.DPStates, cold.DPStates)
 	}
 
-	// Elastic replans: same graph and mini-batch, half the devices. The
-	// smaller search queries only keys of at most its own degree, and the
-	// larger snapshot carries them: at 4→2 within one node, at 8→4 from a
-	// two-node cluster down to one node.
-	_, snap8 := coldSnapshot(t, g, 2*devs, mb)
-	for _, c := range []struct {
-		from, to int
-		snap     *memosnap.Snapshot
-	}{{devs, devs / 2, snap}, {2 * devs, devs, snap8}} {
-		coldTo, _ := coldSnapshot(t, g, c.to, mb)
-		warmTo := warmPlan(t, g, c.to, mb, c.snap)
+	// Elastic replans: same graph and mini-batch, half or twice the
+	// devices. Going down (4→2 within one node, 8→4 from a two-node
+	// cluster to one node), the smaller search queries only keys of at most
+	// its own degree, and the larger snapshot carries them. Going up (2→4,
+	// 4→8), the larger search also queries placement classes the exporter
+	// lacked; the classes both sizes have keep their ids.
+	colds := map[int]*Result{devs: cold}
+	snaps := map[int]*memosnap.Snapshot{devs: snap}
+	for _, d := range []int{devs / 2, 2 * devs} {
+		colds[d], snaps[d] = coldSnapshot(t, g, d, mb)
+	}
+	for _, c := range []struct{ from, to int }{
+		{devs, devs / 2}, {2 * devs, devs}, {devs / 2, devs}, {devs, 2 * devs},
+	} {
+		coldTo := colds[c.to]
+		warmTo := warmPlan(t, g, c.to, mb, snaps[c.from])
 		if !bytes.Equal(planBytes(t, warmTo.Strategy, c.to, mb), planBytes(t, coldTo.Strategy, c.to, mb)) {
 			t.Errorf("warm elastic replan %d→%d diverged from cold", c.from, c.to)
 		}
@@ -164,11 +169,11 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 	}
 	p2.zones.resolveAll(p2.zones.intern(p2.dec.Root()))
 	p2.evalCaches = map[int]*evalTable{}
-	re := &memosnap.Snapshot{Key: decoded.Key, Placements: decoded.Placements}
+	re := &memosnap.Snapshot{Key: decoded.Key, Devices: decoded.Devices}
 	for i := range decoded.Searches {
 		sm := &decoded.Searches[i]
 		s := p2.newSearch(int(sm.RootB), int(sm.MiniBatch), nil, nil)
-		if !s.importMemo(sm, decoded.Placements) {
+		if !s.importMemo(sm) {
 			t.Fatalf("importMemo rejected search %d (mb=%d b=%d)", i, sm.MiniBatch, sm.RootB)
 		}
 		ex := p2.exportSearch(s)

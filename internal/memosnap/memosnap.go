@@ -28,8 +28,9 @@ import (
 
 // SnapshotVersion is the wire-format version. Decode rejects other
 // versions with ErrUnknownSnapshotVersion rather than guessing.
-// Version 2 added the placement-class signature list (Placements).
-const SnapshotVersion = 2
+// Version 3 records the device count once per snapshot and carries keys
+// whose placement class ids need no translation table.
+const SnapshotVersion = 3
 
 // snapshotMagic prefixes every encoded snapshot.
 var snapshotMagic = [6]byte{'G', 'P', 'M', 'E', 'M', 'O'}
@@ -116,10 +117,6 @@ type SearchMemo struct {
 	MiniBatch int32
 	// RootB is the search's root micro-batch candidate.
 	RootB int32
-	// Devices is the cluster size the search ran at. Informational: an
-	// importer at a different device count still uses the memo (entries
-	// for degrees beyond its cluster are simply never queried).
-	Devices int32
 	// NumZones is the exporter's zone-table size; an importer whose
 	// resolved zone table disagrees must reject the memo.
 	NumZones int32
@@ -143,15 +140,12 @@ type SearchMemo struct {
 // per micro-batch-size search.
 type Snapshot struct {
 	Key Key
-	// Placements lists the exporter's placement-class signatures in class-id
-	// order (cluster.PlacementTable.Signatures). DP keys embed class ids,
-	// and ids are not stable across topologies that merely share per-device
-	// costs, so an importer whose own table differs translates each key's
-	// placement field by signature — dropping entries whose signature it
-	// does not have — instead of trusting raw ids. Empty for
-	// placement-oblivious searches, whose keys carry no placement field.
-	Placements []string
-	Searches   []SearchMemo
+	// Devices is the cluster size the snapshot was planned on. An importer
+	// at a different device count still uses the memo (entries for degrees
+	// or placement classes its cluster lacks are simply never queried);
+	// Merge reads it to keep one device count per snapshot.
+	Devices  int32
+	Searches []SearchMemo
 }
 
 // Search returns the memo for (miniBatch, rootB), or nil.
@@ -194,7 +188,10 @@ func (s *Snapshot) Entries() int {
 // A matched pair whose structural fields (NumZones, Configs, Boundary)
 // disagree cannot share a keyspace, so src's side wins outright. A nil
 // argument yields the other; mismatched keys yield src (a snapshot for a
-// different question replaces, not extends).
+// different question replaces, not extends), and so does a src planned on
+// a different device count: the union would be sound, but every later
+// Merge copies it and every import rebuilds all of its nodes, so a
+// device-count sweep would pay for what it accumulated on each replan.
 func Merge(dst, src *Snapshot) *Snapshot {
 	if dst == nil {
 		return src
@@ -202,16 +199,10 @@ func Merge(dst, src *Snapshot) *Snapshot {
 	if src == nil {
 		return dst
 	}
-	if dst.Key != src.Key {
+	if dst.Key != src.Key || dst.Devices != src.Devices {
 		return src
 	}
-	if !samePlacements(dst.Placements, src.Placements) {
-		// Different placement-class tables mean the two sides' keys embed
-		// incomparable class ids; translating at merge time would need a
-		// topology neither snapshot carries, so last writer wins.
-		return src
-	}
-	out := &Snapshot{Key: src.Key, Placements: src.Placements}
+	out := &Snapshot{Key: src.Key, Devices: src.Devices}
 	used := make([]bool, len(src.Searches))
 	for i := range dst.Searches {
 		d := &dst.Searches[i]
@@ -239,18 +230,6 @@ func Merge(dst, src *Snapshot) *Snapshot {
 	return out
 }
 
-func samePlacements(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func sameConfigs(a, b []Config) bool {
 	if len(a) != len(b) {
 		return false
@@ -269,13 +248,12 @@ func sameConfigs(a, b []Config) bool {
 // one pass, dropping src variants whose (Key, Lo, Hi) dst already holds
 // (their values are identical by purity).
 func mergeSearch(dst, src *SearchMemo) SearchMemo {
-	out := *src // scalar fields (Devices): last writer wins
+	out := *src
 	out.NumZones = dst.NumZones
 	out.Configs = dst.Configs
 	out.Boundary = dst.Boundary
 	if len(src.Entries) == 0 {
 		out.Nodes, out.Entries = dst.Nodes, dst.Entries
-		out.Devices = dst.Devices
 		return out
 	}
 	offset := int32(len(dst.Nodes))
@@ -347,10 +325,10 @@ func remap(e Entry, offset int32) Entry {
 //	magic[6] version:u32 crc:u32            (crc over everything after it)
 //	graphHashLen:u32 graphHash[...]
 //	shapeSig:u64 costSig:u64
-//	numPlacements:u32 {sigLen:u32 sig[...]}...
+//	devices:i32
 //	numSearches:u32
 //	per search:
-//	  miniBatch:i32 rootB:i32 devices:i32 numZones:i32
+//	  miniBatch:i32 rootB:i32 numZones:i32
 //	  numConfigs:u32  {microBatch:i32 k:i32}...
 //	  numBoundary:u32 {microBatch:i32 k:i32}...
 //	  numNodes:u32    {kind:u8 zone:i32 devs:i32 left:i32 right:i32
@@ -384,19 +362,13 @@ func Encode(s *Snapshot) []byte {
 	w.buf = append(w.buf, s.Key.GraphHash...)
 	w.u64(s.Key.ShapeSig)
 	w.u64(s.Key.CostSig)
-
-	w.u32(uint32(len(s.Placements)))
-	for _, sig := range s.Placements {
-		w.u32(uint32(len(sig)))
-		w.buf = append(w.buf, sig...)
-	}
+	w.i32(s.Devices)
 
 	w.u32(uint32(len(s.Searches)))
 	for i := range s.Searches {
 		sm := &s.Searches[i]
 		w.i32(sm.MiniBatch)
 		w.i32(sm.RootB)
-		w.i32(sm.Devices)
 		w.i32(sm.NumZones)
 		w.u32(uint32(len(sm.Configs)))
 		for _, c := range sm.Configs {
@@ -439,14 +411,10 @@ func Encode(s *Snapshot) []byte {
 }
 
 func encodedSizeHint(s *Snapshot) int {
-	n := headerSize + 4 + len(s.Key.GraphHash) + 16 + 4
-	n += 4
-	for _, sig := range s.Placements {
-		n += 4 + len(sig)
-	}
+	n := headerSize + 4 + len(s.Key.GraphHash) + 16 + 4 + 4
 	for i := range s.Searches {
 		sm := &s.Searches[i]
-		n += 4*4 + 3*4
+		n += 3*4 + 4*4
 		n += configSize * (len(sm.Configs) + len(sm.Boundary))
 		n += nodeWireSize * len(sm.Nodes)
 		n += entryWireSize * len(sm.Entries)
@@ -546,23 +514,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	r.off += hlen
 	s.Key.ShapeSig = r.u64()
 	s.Key.CostSig = r.u64()
+	s.Devices = r.i32()
 
-	nPlace := r.count(4)
-	for i := 0; i < nPlace && r.err == nil; i++ {
-		slen := r.count(1)
-		if r.err != nil {
-			break
-		}
-		s.Placements = append(s.Placements, string(r.buf[r.off:r.off+slen]))
-		r.off += slen
-	}
-
-	nSearches := r.count(4 * 4)
+	nSearches := r.count(3*4 + 4*4)
 	for i := 0; i < nSearches && r.err == nil; i++ {
 		var sm SearchMemo
 		sm.MiniBatch = r.i32()
 		sm.RootB = r.i32()
-		sm.Devices = r.i32()
 		sm.NumZones = r.i32()
 		if nc := r.count(configSize); nc > 0 {
 			sm.Configs = make([]Config, nc)

@@ -11,10 +11,11 @@ import (
 
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		Key: Key{GraphHash: "abcd1234", ShapeSig: 0x1122334455667788, CostSig: 0x99aabbccddeeff00},
+		Key:     Key{GraphHash: "abcd1234", ShapeSig: 0x1122334455667788, CostSig: 0x99aabbccddeeff00},
+		Devices: 4,
 		Searches: []SearchMemo{
 			{
-				MiniBatch: 32, RootB: 8, Devices: 4, NumZones: 7,
+				MiniBatch: 32, RootB: 8, NumZones: 7,
 				Configs:  []Config{{MicroBatch: 8, K: 1}},
 				Boundary: []Config{{MicroBatch: 8, K: 1}},
 				Nodes: []Node{
@@ -29,7 +30,7 @@ func sampleSnapshot() *Snapshot {
 				},
 			},
 			{
-				MiniBatch: 32, RootB: 4, Devices: 4, NumZones: 7,
+				MiniBatch: 32, RootB: 4, NumZones: 7,
 				Configs:  []Config{{MicroBatch: 4, K: 1}},
 				Boundary: []Config{{MicroBatch: 4, K: 1}},
 				Entries:  []Entry{{Key: 0x4001, Lo: 0, Hi: 5e-4, Val: Infeasible}},
@@ -48,8 +49,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Key != s.Key {
-		t.Errorf("key drifted: %+v vs %+v", got.Key, s.Key)
+	if got.Key != s.Key || got.Devices != s.Devices {
+		t.Errorf("identity drifted: %+v@%d vs %+v@%d", got.Key, got.Devices, s.Key, s.Devices)
 	}
 	if got.Entries() != s.Entries() {
 		t.Errorf("entry count drifted: %d vs %d", got.Entries(), s.Entries())
@@ -115,15 +116,16 @@ func TestDecodeFailureClasses(t *testing.T) {
 // remapped), exact-duplicate variants deduplicate, structurally
 // incompatible pairs fall back to src-wins, and merging an empty export
 // leaves dst byte-identical — the drift-free accumulation the incremental
-// exporter relies on.
+// exporter relies on. A src of another key or device count replaces dst.
 func TestMerge(t *testing.T) {
 	old := sampleSnapshot()
 	fresh := &Snapshot{
-		Key: old.Key,
+		Key:     old.Key,
+		Devices: old.Devices,
 		Searches: []SearchMemo{
 			// Compatible with old's (32,8): a new key with its own node, a
 			// new span variant of an existing key, and an exact duplicate.
-			{MiniBatch: 32, RootB: 8, Devices: 2, NumZones: 7,
+			{MiniBatch: 32, RootB: 8, NumZones: 7,
 				Configs:  []Config{{MicroBatch: 8, K: 1}},
 				Boundary: []Config{{MicroBatch: 8, K: 1}},
 				Nodes: []Node{
@@ -135,9 +137,9 @@ func TestMerge(t *testing.T) {
 					{Key: 0xc005, Lo: 0, Hi: 2e-4, Val: Infeasible},
 				}},
 			// Structurally incompatible with old's (32,4): src wins outright.
-			{MiniBatch: 32, RootB: 4, Devices: 2, NumZones: 9,
+			{MiniBatch: 32, RootB: 4, NumZones: 9,
 				Entries: []Entry{{Key: 0x4002, Lo: 0, Hi: 1, Val: Infeasible}}},
-			{MiniBatch: 64, RootB: 16, Devices: 2, NumZones: 7},
+			{MiniBatch: 64, RootB: 16, NumZones: 7},
 		},
 	}
 	m := Merge(old, fresh)
@@ -147,9 +149,6 @@ func TestMerge(t *testing.T) {
 	sm := m.Search(32, 8)
 	if sm == nil {
 		t.Fatal("(32,8) missing after merge")
-	}
-	if sm.Devices != 2 {
-		t.Errorf("(32,8) Devices = %d, want src's 2", sm.Devices)
 	}
 	if len(sm.Nodes) != 4 {
 		t.Errorf("(32,8) has %d nodes, want dst's 3 + src's 1", len(sm.Nodes))
@@ -193,9 +192,10 @@ func TestMerge(t *testing.T) {
 	// An imported-but-unprobed search exports an empty SearchMemo; merging
 	// it must reproduce dst's bytes exactly.
 	empty := &Snapshot{
-		Key: old.Key,
+		Key:     old.Key,
+		Devices: old.Devices,
 		Searches: []SearchMemo{
-			{MiniBatch: 32, RootB: 8, Devices: 4, NumZones: 7,
+			{MiniBatch: 32, RootB: 8, NumZones: 7,
 				Configs:  []Config{{MicroBatch: 8, K: 1}},
 				Boundary: []Config{{MicroBatch: 8, K: 1}}},
 		},
@@ -214,6 +214,11 @@ func TestMerge(t *testing.T) {
 	other.Key.CostSig++
 	if got := Merge(old, other); got != other {
 		t.Errorf("mismatched keys should yield src wholesale")
+	}
+	resized := sampleSnapshot()
+	resized.Devices = 2
+	if got := Merge(old, resized); got != resized {
+		t.Errorf("a src planned on another device count should yield src wholesale")
 	}
 }
 

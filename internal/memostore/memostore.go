@@ -122,10 +122,13 @@ func (s *Store) Lookup(k memosnap.Key) *memosnap.Snapshot {
 	return snap
 }
 
-// Install merges a freshly exported snapshot into the store: an existing
-// snapshot for the same key keeps the searches the new one did not re-run
-// (memosnap.Merge), so a device-count sweep accumulates one shard covering
-// every mini-batch it visited. The merge happens under the store lock —
+// Install merges a freshly exported snapshot into the store
+// (memosnap.Merge): an existing snapshot for the same key and device count
+// keeps the searches the new one did not re-run, so replans at one device
+// count accumulate one shard covering every mini-batch they visited. A
+// snapshot planned on another device count replaces the stored one, so on
+// summit, where one key spans every device count, a device-count sweep
+// keeps only its latest step. The merge happens under the store lock —
 // two concurrent installs for one key serialize, and each sees the other's
 // completed merge, never a partial one.
 func (s *Store) Install(snap *memosnap.Snapshot) {

@@ -11,9 +11,10 @@ import (
 
 func snapFor(hash string, mb, rootB int32) *memosnap.Snapshot {
 	return &memosnap.Snapshot{
-		Key: memosnap.Key{GraphHash: hash, ShapeSig: 1, CostSig: 2},
+		Key:     memosnap.Key{GraphHash: hash, ShapeSig: 1, CostSig: 2},
+		Devices: 4,
 		Searches: []memosnap.SearchMemo{{
-			MiniBatch: mb, RootB: rootB, Devices: 4, NumZones: 3,
+			MiniBatch: mb, RootB: rootB, NumZones: 3,
 			Configs: []memosnap.Config{{MicroBatch: rootB, K: 1}},
 			Nodes:   []memosnap.Node{{Leaf: true, Zone: 1, Devs: 2, NStages: 1, Cfg: memosnap.Config{MicroBatch: rootB, K: 1}, InFlight: 1, Mem: 3, TPS: 4}},
 			Entries: []memosnap.Entry{{Key: 7, Lo: 0, Hi: 5, Val: 0}},

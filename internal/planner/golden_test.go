@@ -43,8 +43,10 @@ func (c goldenCell) name() string {
 
 // goldenCells lists the pinned questions: GraphPipe and PipeDream on the
 // three paper models at 4, 8 and 16 Summit devices, Piper on the one
-// paper model it can solve (two-branch MMT), and GraphPipe and PipeDream
-// on one heterogeneous and two hierarchical synth topologies.
+// paper model it can solve (two-branch MMT), GraphPipe and PipeDream on
+// one heterogeneous and two hierarchical synth topologies, and GraphPipe
+// on the heterogeneous topology at 32 devices, whose blocks form more
+// than 256 placement classes across all sizes.
 func goldenCells() []goldenCell {
 	var cells []goldenCell
 	for _, pl := range []string{"graphpipe", "pipedream"} {
@@ -63,6 +65,7 @@ func goldenCells() []goldenCell {
 			goldenCell{planner: pl, model: "mmt", devices: 8, topology: "topo:hierarchical/seed=1"},
 			goldenCell{planner: pl, model: "mmt", devices: 8, topology: "topo:two-tier/seed=1"})
 	}
+	cells = append(cells, goldenCell{planner: "graphpipe", model: "candle-uno", devices: 32, topology: "topo:hetero-speed/seed=7"})
 	return cells
 }
 
@@ -117,7 +120,7 @@ func goldenLine(t *testing.T, c goldenCell) string {
 //
 //	go test ./internal/planner -run TestArtifactGolden -update-golden
 //
-// and the diff shows which cells moved. 16-device cells are skipped
+// and the diff shows which cells moved. Cells above 8 devices are skipped
 // under -short.
 func TestArtifactGolden(t *testing.T) {
 	if *updateGolden && testing.Short() {
@@ -139,7 +142,7 @@ func TestArtifactGolden(t *testing.T) {
 		c := c
 		t.Run(c.name(), func(t *testing.T) {
 			if testing.Short() && c.devices > 8 {
-				t.Skip("16-device cells skipped in -short mode")
+				t.Skip("cells above 8 devices skipped in -short mode")
 			}
 			line := goldenLine(t, c)
 			got = append(got, line)

@@ -348,9 +348,10 @@ func TestMemoOfferEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	snap := &memosnap.Snapshot{
-		Key: memosnap.Key{GraphHash: "test-graph", ShapeSig: 7, CostSig: 9},
+		Key:     memosnap.Key{GraphHash: "test-graph", ShapeSig: 7, CostSig: 9},
+		Devices: 4,
 		Searches: []memosnap.SearchMemo{
-			{MiniBatch: 8, RootB: 4, Devices: 4, NumZones: 1},
+			{MiniBatch: 8, RootB: 4, NumZones: 1},
 		},
 	}
 	resp, err := http.Post(srv.URL+"/v1/memos", "application/octet-stream",
