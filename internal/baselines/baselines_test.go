@@ -3,10 +3,12 @@ package baselines
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
 	"graphpipe/internal/cluster"
+	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
 	"graphpipe/internal/planner"
@@ -140,4 +142,32 @@ func TestChainPlannersAgree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPiperCostCacheWithinBudget pins what StateBudget bounds: Piper's DP
+// states and candidate stages plus the stage-cost entries it keeps until
+// the search ends. On 4-branch MMT the cache grows by more than one entry
+// per step (a stage is costed at every replication factor), so counting
+// steps alone let it outgrow the budget.
+func TestPiperCostCacheWithinBudget(t *testing.T) {
+	g := models.MMT(models.DefaultMMTConfig())
+	topo := cluster.NewSummitTopology(4)
+	const budget, mini = 200_000, 64
+	s := &search{g: g, model: costmodel.NewDefault(topo), topo: topo, mem: topo.MinMemory(),
+		sp: downsets{g}, b: planner.MicroBatchCandidates(mini, 0, 0)[0], mini: mini,
+		memo: make(map[memoKey]entry), costs: make(map[costKey]stageCost), budget: budget}
+	var err error
+	for depth := 1; depth <= topo.Len() && err == nil; depth++ {
+		_, err = s.solve(s.sp.root(), topo.Len(), depth)
+	}
+	if !errors.Is(err, errBudget) {
+		t.Fatalf("search ended with %v, want the budget error", err)
+	}
+	if s.spent() > budget {
+		t.Errorf("%d steps + %d cost entries exceed the budget of %d", s.states, len(s.costs), budget)
+	}
+	if len(s.costs) == 0 {
+		t.Error("the search cached no stage costs; the check is vacuous")
+	}
+	t.Logf("%d steps, %d cost entries", s.states, len(s.costs))
 }

@@ -68,7 +68,7 @@ type space interface {
 
 // limits bound a search. PipeDream runs unbounded.
 type limits struct {
-	budget  int // DP states plus candidate stages
+	budget  int // DP states plus candidate stages plus stage-cost entries
 	timeout time.Duration
 }
 
@@ -114,24 +114,34 @@ type search struct {
 	deadline time.Time
 }
 
-// step counts one DP state or candidate stage against the budget and,
-// every 65536 steps, checks the deadline.
+// spent is what the search has taken from its budget: one unit per DP
+// state and candidate stage (states, which Stats.DPStates reports), and
+// one per stage-cost entry, which stays live until the search ends. A
+// memo entry needs no unit of its own: each DP state makes at most one.
+func (s *search) spent() int { return s.states + len(s.costs) }
+
+// step counts one DP state or candidate stage against the budget, unless
+// the budget is spent, and every 65536 steps checks the deadline.
 func (s *search) step() error {
-	s.states++
-	if s.states > s.budget || s.states%(1<<16) == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+	if s.spent() >= s.budget || s.states%(1<<16) == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		return errBudget
 	}
+	s.states++
 	return nil
 }
 
 // stageTPS returns the TPS of the stage that takes state st to rest on d1
 // replicas, and whether its weights plus the activations of depth
 // in-flight micro-batches fit device memory. Each (stage, d1) is costed
-// once per search.
-func (s *search) stageTPS(st, stage, rest set, d1, depth int) (float64, bool) {
+// once per search, and a new cost entry is refused once the budget is
+// spent, so the cache never outgrows the budget.
+func (s *search) stageTPS(st, stage, rest set, d1, depth int) (float64, bool, error) {
 	key := costKey{stage.key, int32(stage.n), int32(d1)}
 	c, ok := s.costs[key]
 	if !ok {
+		if s.spent() >= s.budget {
+			return 0, false, errBudget
+		}
 		costs := s.model.Stage(s.g, costmodel.StageConfig{
 			Ops:                s.sp.between(st, rest),
 			MicroBatch:         s.b,
@@ -142,7 +152,7 @@ func (s *search) stageTPS(st, stage, rest set, d1, depth int) (float64, bool) {
 		c = stageCost{costs.TPS(s.b, s.mini), costs.WeightBytes, costs.ActivationBytesPerSample}
 		s.costs[key] = c
 	}
-	return c.tps, c.weights+c.actPerSample*float64(depth*s.b) <= s.mem
+	return c.tps, c.weights+c.actPerSample*float64(depth*s.b) <= s.mem, nil
 }
 
 // solve stages state st on d devices as exactly depth sequential stages,
@@ -158,7 +168,11 @@ func (s *search) solve(st set, d, depth int) (entry, error) {
 	best := entry{bottleneck: math.Inf(1)}
 	if depth == 1 {
 		// One final stage holds the whole state.
-		if tps, ok := s.stageTPS(st, st, set{}, d, 1); ok {
+		tps, ok, err := s.stageTPS(st, st, set{}, d, 1)
+		if err != nil {
+			return entry{}, err
+		}
+		if ok {
 			best = entry{bottleneck: tps, d1: d, ok: true}
 		}
 		s.memo[key] = best
@@ -172,7 +186,10 @@ func (s *search) solve(st set, d, depth int) (entry, error) {
 			return nil // too little left for the remaining stages
 		}
 		for d1 := 1; d1 <= d-(depth-1); d1++ {
-			tps, ok := s.stageTPS(st, stage, rest, d1, depth)
+			tps, ok, err := s.stageTPS(st, stage, rest, d1, depth)
+			if err != nil {
+				return err
+			}
 			if !ok || tps >= best.bottleneck {
 				continue // infeasible, or already worse on its own
 			}
@@ -245,7 +262,7 @@ func plan(name string, g *graph.Graph, topo *cluster.Topology, miniBatch int, op
 			}
 		}
 		states += s.states
-		budget -= s.states
+		budget -= s.spent()
 		if budget <= 0 {
 			return nil, planner.Stats{}, explosion
 		}

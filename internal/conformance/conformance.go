@@ -537,7 +537,12 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 	// base plan's snapshot yields an artifact byte-identical to a cold
 	// plan of the same perturbed request. Planners without memoized
 	// searches ignore WarmMemo, which is itself the property worth
-	// pinning: the option must never perturb their answer.
+	// pinning: the option must never perturb their answer. The devices/2
+	// replan's export, merged into the base snapshot, then warm-starts a
+	// replan at the base device count, which must reproduce the base
+	// artifact: a union of snapshots planned on two device counts is as
+	// sound as either.
+	var halfSnap *memosnap.Snapshot
 	perturbations := []struct {
 		label    string
 		devs, mb int
@@ -570,6 +575,9 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		}
 		warmOpts := planner.Options{Workers: 1,
 			WarmMemo: func(memosnap.Key) *memosnap.Snapshot { return snap }}
+		if pt.devs != cfg.Devices {
+			warmOpts.MemoSink = func(s *memosnap.Snapshot) { halfSnap = s }
+		}
 		warmSt, _, err := plan(g, ptopo, plannerName, pt.mb, warmOpts, cfg)
 		if err != nil {
 			record(InvWarmCold, "", "warm plan at %s failed where cold succeeded: %v", pt.label, err)
@@ -587,6 +595,22 @@ func checkPlanner(rs synth.Spec, plannerName string, cfg Config) []failure {
 		}
 		if !bytes.Equal(warmBytes, coldBytes) {
 			record(InvWarmCold, "", "warm-started plan at %s diverged from the cold plan", pt.label)
+		}
+	}
+	if halfSnap != nil {
+		union := memosnap.Merge(snap, halfSnap)
+		unionOpts := planner.Options{Workers: 1,
+			WarmMemo: func(memosnap.Key) *memosnap.Snapshot { return union }}
+		unionSt, _, err := plan(g, topo, plannerName, mb, unionOpts, cfg)
+		if err != nil {
+			record(InvWarmCold, "", "warm plan from the devices/2 union failed where cold succeeded: %v", err)
+			return fails
+		}
+		unionBytes, err := artifactBytes(name, cfg.Devices, canonTopo, mb, plannerName, unionSt)
+		if err != nil {
+			record(InvWarmCold, "", "encoding the warm artifact from the devices/2 union: %v", err)
+		} else if !bytes.Equal(unionBytes, baseBytes) {
+			record(InvWarmCold, "", "plan warm-started from the devices/2 union diverged from the cold base plan")
 		}
 	}
 	return fails

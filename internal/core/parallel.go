@@ -95,14 +95,14 @@ type memoTable struct {
 	// warmHits counts imported entries whose interval covered a probe
 	// target at least once (Result.MemoEntriesReused).
 	warmHits atomic.Int64
-	// fallback, when set by importMemo, resolves a (key, target) miss from
+	// warm, when set by importMemo, resolves a (key, target) miss from
 	// the imported snapshot: it returns a covering entry to materialize
-	// into the table, or ok=false. It must be a pure read — get calls it
-	// under the key's shard lock — and each materialized entry counts as a
-	// warm reuse exactly once, because a variant already resident in the
-	// table is found by the primary/history paths before the fallback runs.
-	fallback func(k dpKey, tmax float64) (memoEntry, bool)
-	shards   [memoShardCount]memoShard
+	// into the table, or ok=false. get calls it under the key's shard
+	// lock, and each materialized entry counts as a warm reuse exactly
+	// once, because a variant already resident in the table is found by
+	// the primary/history paths before the snapshot is consulted.
+	warm   *importedMemo
+	shards [memoShardCount]memoShard
 }
 
 type memoShard struct {
@@ -254,12 +254,12 @@ func (t *memoTable) get(k dpKey, tmax float64) (*dpResult, span, bool) {
 		sh.vals[i].warm = false
 		t.warmHits.Add(1)
 	}
-	if t.fallback != nil && (!ok || !e.sp.covers(tmax)) {
+	if t.warm != nil && (!ok || !e.sp.covers(tmax)) {
 		// Lazy warm start: materialize the covering variant, if the
 		// imported snapshot has one, instead of recomputing. Still under
 		// the shard lock, so concurrent walkers materialize each variant
 		// (and count its reuse) exactly once.
-		if v, found := t.fallback(k, tmax); found {
+		if v, found := t.warm.lookup(k, tmax); found {
 			sh.store(k, v)
 			t.warmHits.Add(1)
 			e, ok = v, true

@@ -617,7 +617,7 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 		}
 	}
 	// Guard the factors before multiplying so the int64 product (each
-	// factor ≤ 2²⁶, devices ≤ 2⁷) cannot itself overflow.
+	// factor ≤ 2²², devices ≤ 2⁷) cannot itself overflow.
 	if maxK > maxKInFlight || maxB > maxKInFlight {
 		return fmt.Errorf("core: kFkB candidate %d / micro-batch candidate %d exceed the DP key's in-flight limit %d",
 			maxK, maxB, maxKInFlight)
@@ -704,19 +704,13 @@ func (w *dpWalker) stageAttempt(zoneID int, cf schedule.Config, cb *schedule.Suc
 // of the per-call hash-set guard this used to carry, the walker enforces
 // that invariant with a depth counter bounded by the graph's node count
 // (one int compare on a path the profiler showed spending ~10% of the
-// search in guard-map traffic). Results are slab-allocated per walker:
-// dpResults live in the memo for the whole search, so freeing is never
-// safe, but batching the allocations keeps the DP inner loop off the
-// allocator's hot path.
+// search in guard-map traffic). Results are slab-allocated per walker.
 type dpWalker struct {
-	s         *search
-	depth     int
-	maxDepth  int
-	resSlab   []dpResult
-	stageSlab []dpStage
+	s        *search
+	depth    int
+	maxDepth int
+	arena
 }
-
-const walkerSlabSize = 256
 
 func (s *search) newWalker() *dpWalker {
 	// Zone sizes strictly decrease along a recursion path, so a path can
@@ -724,21 +718,33 @@ func (s *search) newWalker() *dpWalker {
 	return &dpWalker{s: s, maxDepth: s.p.g.Len() + 1}
 }
 
-func (w *dpWalker) newResult() *dpResult {
-	if len(w.resSlab) == 0 {
-		w.resSlab = make([]dpResult, walkerSlabSize)
+// arena slab-allocates derivation nodes for one owner (a walker, or an
+// imported snapshot's node builder): dpResults live in the memo for the
+// whole search, so freeing is never safe, but batching the allocations
+// keeps the DP inner loop off the allocator's hot path. An arena is not
+// safe for concurrent use.
+type arena struct {
+	resSlab   []dpResult
+	stageSlab []dpStage
+}
+
+const arenaSlabSize = 256
+
+func (a *arena) newResult() *dpResult {
+	if len(a.resSlab) == 0 {
+		a.resSlab = make([]dpResult, arenaSlabSize)
 	}
-	r := &w.resSlab[0]
-	w.resSlab = w.resSlab[1:]
+	r := &a.resSlab[0]
+	a.resSlab = a.resSlab[1:]
 	return r
 }
 
-func (w *dpWalker) newStage() *dpStage {
-	if len(w.stageSlab) == 0 {
-		w.stageSlab = make([]dpStage, walkerSlabSize)
+func (a *arena) newStage() *dpStage {
+	if len(a.stageSlab) == 0 {
+		a.stageSlab = make([]dpStage, arenaSlabSize)
 	}
-	st := &w.stageSlab[0]
-	w.stageSlab = w.stageSlab[1:]
+	st := &a.stageSlab[0]
+	a.stageSlab = a.stageSlab[1:]
 	return st
 }
 

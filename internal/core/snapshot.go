@@ -5,8 +5,10 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
+	"sync"
 
 	"graphpipe/internal/costmodel"
+	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
 	"graphpipe/internal/schedule"
 )
@@ -115,11 +117,18 @@ func (p *Planner) costSig() uint64 {
 // a deterministic function of the memo contents; an imported-but-unprobed
 // search exports nothing, which makes Merge accumulation drift-free
 // (pinned by test).
+//
+// Each search is dropped from results, and its stage-cost table from the
+// planner, as soon as it is exported: its memo is garbage while the later
+// searches export and while the sink merges, so the planner's memo and the
+// new snapshot are never both fully live.
 func (p *Planner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
-	snap := &memosnap.Snapshot{Key: key, Devices: int32(p.topo.Len())}
+	snap := &memosnap.Snapshot{Key: key}
 	for i := range results {
 		if s := results[i].search; s != nil {
 			snap.Searches = append(snap.Searches, p.exportSearch(s))
+			results[i].search = nil
+			delete(p.evalCaches, s.rootB)
 		}
 	}
 	return snap
@@ -239,9 +248,11 @@ func (p *Planner) exportSearch(s *search) memosnap.SearchMemo {
 // frozen config and boundary lists (key packing indexes into them), the
 // same zone-table size, and every node and key field in range. The checks
 // make a stale or foreign snapshot a no-op rather than a wrong plan; the
-// warm≡cold conformance invariant enforces that end to end. Keys are used
-// as exported: a placement class id names the same block signature at
-// every device count that shares this cost signature.
+// warm≡cold conformance invariant enforces that end to end. They cover
+// every node and entry up front, so a bad snapshot is rejected whole;
+// nothing is built here. Keys are used as exported: a placement class id
+// names the same block signature at every device count that shares this
+// cost signature.
 func (s *search) importMemo(sm *memosnap.SearchMemo) bool {
 	p := s.p
 	if int(sm.MiniBatch) != s.miniBatch || int(sm.RootB) != s.rootB {
@@ -254,95 +265,127 @@ func (s *search) importMemo(sm *memosnap.SearchMemo) bool {
 		return false
 	}
 
-	nLeaves := 0
-	for i := range sm.Nodes {
-		if sm.Nodes[i].Leaf {
-			nLeaves++
+	nodes := sm.Nodes
+	for i := range nodes {
+		n := &nodes[i]
+		if n.InFlight < 0 || !validConfig(n.Cfg, s.cfgs) {
+			return false
 		}
-	}
-	arena := make([]dpResult, len(sm.Nodes))
-	stages := make([]dpStage, nLeaves)
-	leaf := 0
-	for i := range sm.Nodes {
-		n := &sm.Nodes[i]
 		if n.Leaf {
-			zone := int(n.Zone)
-			if zone < 0 || zone >= len(p.zones.sets) || n.Devs < 1 || n.InFlight < 0 || n.NStages != 1 {
+			if n.Zone < 0 || int(n.Zone) >= len(p.zones.sets) || n.Devs < 1 || n.NStages != 1 {
 				return false
-			}
-			if !validConfig(n.Cfg, s.cfgs) {
-				return false
-			}
-			st := &stages[leaf]
-			leaf++
-			*st = dpStage{
-				ops:  p.zones.sets[zone],
-				zone: zone,
-				cfg:  schedule.Config{MicroBatch: int(n.Cfg.MicroBatch), K: int(n.Cfg.K)},
-				devs: int(n.Devs), inFlight: int(n.InFlight), memory: n.Mem, tps: n.TPS,
-			}
-			arena[i] = dpResult{
-				inFlight: st.inFlight, srcCfg: st.cfg,
-				maxMem: st.memory, maxTPS: st.tps, nStages: 1, leaf: st,
 			}
 			continue
 		}
-		// Decode already proved Left/Right < i, so children are built.
-		l, r := &arena[n.Left], &arena[n.Right]
-		if n.NStages != int32(l.nStages+r.nStages) || n.InFlight < 0 {
+		// Children precede parents (Decode proves it for wire input), which
+		// keeps the on-demand build acyclic and its recursion no deeper
+		// than the tree's stage count.
+		if n.Left < 0 || int(n.Left) >= i || n.Right < 0 || int(n.Right) >= i {
 			return false
 		}
-		if n.Mem != math.Max(l.maxMem, r.maxMem) || n.TPS != math.Max(l.maxTPS, r.maxTPS) {
+		l, r := &nodes[n.Left], &nodes[n.Right]
+		if n.NStages != l.NStages+r.NStages || n.Mem != math.Max(l.Mem, r.Mem) || n.TPS != math.Max(l.TPS, r.TPS) {
 			return false
-		}
-		if !validConfig(n.Cfg, s.cfgs) {
-			return false
-		}
-		arena[i] = dpResult{
-			inFlight: int(n.InFlight),
-			srcCfg:   schedule.Config{MicroBatch: int(n.Cfg.MicroBatch), K: int(n.Cfg.K)},
-			maxMem:   n.Mem, maxTPS: n.TPS, nStages: int(n.NStages),
-			left: l, right: r,
 		}
 	}
 
 	// Validate every packed key's fields against this search's tables
 	// before accepting anything: a single bad key rejects the whole memo,
 	// keeping "imported" an all-or-nothing property per search.
-	entries := sm.Entries
-	for i := range entries {
-		if !s.validKey(dpKey(entries[i].Key)) || badSpan(entries[i].Lo, entries[i].Hi) {
+	for i := range sm.Entries {
+		e := &sm.Entries[i]
+		if !s.validKey(dpKey(e.Key)) || badSpan(e.Lo, e.Hi) || e.Val < memosnap.Infeasible || int(e.Val) >= len(nodes) {
 			return false
 		}
 	}
-	// Accepted. Entries are not seeded eagerly — an accumulated snapshot
-	// holds everything ever learned about the graph, and a replan touches
-	// a fraction of it. The memo table instead resolves misses against the
-	// snapshot's sorted entry list and materializes only the variants this
-	// search's probes actually cover.
-	s.memo.fallback = func(k dpKey, tmax float64) (memoEntry, bool) {
-		lo, hi := 0, len(entries)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if entries[mid].Key < uint64(k) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for ; lo < len(entries) && entries[lo].Key == uint64(k); lo++ {
-			e := &entries[lo]
-			if e.Lo <= tmax && tmax < e.Hi {
-				r := memoInfeasible
-				if e.Val != memosnap.Infeasible {
-					r = &arena[e.Val]
-				}
-				return memoEntry{res: r, sp: span{lo: e.Lo, hi: e.Hi}, imported: true}, true
-			}
-		}
-		return memoEntry{}, false
+	s.memo.warm = &importedMemo{
+		entries: sm.Entries,
+		nodes:   nodes,
+		zones:   p.zones.sets,
+		built:   make([]*dpResult, len(nodes)),
 	}
 	return true
+}
+
+// importedMemo is an accepted SearchMemo, read on demand. Its entries are
+// not seeded into the memo: an accumulated snapshot holds everything ever
+// learned about the graph, at every device count planned, and a replan
+// reads a fraction of it. The memo table instead resolves a miss against
+// the sorted entry list (lookup), and a derivation node becomes a dpResult
+// the first time an entry that reaches it is used (node), so an import
+// pays for what the search reads, not for the snapshot's size.
+//
+// Entries in different memo shards share nodes, so concurrent walkers
+// build under one mutex: each node is built exactly once, and it is
+// complete before the mutex — then the memo shard's lock — hands its
+// pointer to any other walker.
+type importedMemo struct {
+	entries []memosnap.Entry
+	nodes   []memosnap.Node
+	zones   []graph.NodeSet
+
+	mu    sync.Mutex
+	built []*dpResult // by node index; nil until first used
+	arena
+}
+
+// lookup returns the first variant of k, in (Lo, Hi) order, whose
+// interval covers tmax, with its value built.
+func (m *importedMemo) lookup(k dpKey, tmax float64) (memoEntry, bool) {
+	entries := m.entries
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if entries[mid].Key < uint64(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for ; lo < len(entries) && entries[lo].Key == uint64(k); lo++ {
+		e := &entries[lo]
+		if e.Lo <= tmax && tmax < e.Hi {
+			r := memoInfeasible
+			if e.Val != memosnap.Infeasible {
+				r = m.node(e.Val)
+			}
+			return memoEntry{res: r, sp: span{lo: e.Lo, hi: e.Hi}, imported: true}, true
+		}
+	}
+	return memoEntry{}, false
+}
+
+// node returns snapshot node i as a dpResult, building it on first use.
+func (m *importedMemo) node(i int32) *dpResult {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.build(i)
+}
+
+// build materializes node i and whichever of its descendants are not yet
+// built. The caller holds m.mu.
+func (m *importedMemo) build(i int32) *dpResult {
+	if r := m.built[i]; r != nil {
+		return r
+	}
+	n := &m.nodes[i]
+	r := m.newResult()
+	*r = dpResult{
+		inFlight: int(n.InFlight),
+		srcCfg:   schedule.Config{MicroBatch: int(n.Cfg.MicroBatch), K: int(n.Cfg.K)},
+		maxMem:   n.Mem, maxTPS: n.TPS, nStages: int(n.NStages),
+	}
+	if n.Leaf {
+		r.leaf = m.newStage()
+		*r.leaf = dpStage{
+			ops: m.zones[n.Zone], zone: int(n.Zone), cfg: r.srcCfg,
+			devs: int(n.Devs), inFlight: r.inFlight, memory: n.Mem, tps: n.TPS,
+		}
+	} else {
+		r.left, r.right = m.build(n.Left), m.build(n.Right)
+	}
+	m.built[i] = r
+	return r
 }
 
 func configsEqual(got []memosnap.Config, want []schedule.Config) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"graphpipe/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
 
@@ -51,9 +53,14 @@ func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (*Result, *memo
 
 func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snapshot) *Result {
 	t.Helper()
+	return warmPlanWorkers(t, g, devices, mb, 1, snap)
+}
+
+func warmPlanWorkers(t *testing.T, g *graph.Graph, devices, mb, workers int, snap *memosnap.Snapshot) *Result {
+	t.Helper()
 	topo := cluster.NewSummitTopology(devices)
 	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
-		Workers:  1,
+		Workers:  workers,
 		WarmMemo: func(k memosnap.Key) *memosnap.Snapshot { return snap },
 	})
 	if err != nil {
@@ -139,6 +146,157 @@ func TestWarmColdEquivalence(t *testing.T) {
 	}
 }
 
+// TestWarmParallelFromLargerSnapshot replans MMT at 8 devices with four
+// workers, warm-started from a 16-device snapshot, and requires the bytes
+// of the cold plan. Concurrent walkers look up entries in different memo
+// shards whose values share derivation nodes, so the on-demand node build
+// is exercised from several goroutines at once; CI's race step runs this
+// test.
+func TestWarmParallelFromLargerSnapshot(t *testing.T) {
+	g := models.MMT(models.DefaultMMTConfig())
+	const mb = 64
+	_, snap := coldSnapshot(t, g, 16, mb)
+	cold, _ := coldSnapshot(t, g, 8, mb)
+	warm := warmPlanWorkers(t, g, 8, mb, 4, snap)
+	if !bytes.Equal(planBytes(t, warm.Strategy, 8, mb), planBytes(t, cold.Strategy, 8, mb)) {
+		t.Error("parallel warm replan 16→8 diverged from the cold plan")
+	}
+	if !warm.MemoWarmStarted || warm.MemoEntriesReused == 0 {
+		t.Errorf("parallel warm replan reused nothing: %+v", warm)
+	}
+}
+
+// TestWarmImportIsLazy pins what an import costs: a replan builds only
+// the derivation nodes its probes reach, not the whole imported forest.
+// It drives Plan's per-micro-batch searches directly so it can read each
+// search's imported memo afterwards.
+func TestWarmImportIsLazy(t *testing.T) {
+	g := models.MMT(models.DefaultMMTConfig())
+	const mb = 64
+	_, snap := coldSnapshot(t, g, 8, mb)
+
+	p, err := NewPlanner(g, costmodel.NewDefault(cluster.NewSummitTopology(4)), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := p.zones.intern(p.dec.Root())
+	p.zones.resolveAll(root)
+	bCands := planner.MicroBatchCandidates(mb, 0, p.opts.MaxMicroBatch)
+	p.evalCaches = map[int]*evalTable{}
+	maxTPS := p.model.MaxTPS(g, mb)
+	held, built := 0, 0
+	for _, b := range bCands {
+		p.evalCaches[b] = newEvalTable(false)
+		var out perB
+		p.searchMicroBatch(&out, b, mb, bCands, maxTPS, epsilon*maxTPS, root, nil, snap)
+		if !out.warmed {
+			t.Fatalf("micro-batch %d: snapshot not imported", b)
+		}
+		w := out.search.memo.warm
+		held += len(w.nodes)
+		for _, r := range w.built {
+			if r != nil {
+				built++
+			}
+		}
+	}
+	t.Logf("8→4 replan built %d of %d imported derivation nodes", built, held)
+	if built == 0 || built >= held {
+		t.Errorf("replan built %d of %d imported nodes; want some, not all", built, held)
+	}
+}
+
+// TestCrossSizeEntryEquivalence checks warm start below the plans, at the
+// level of memo entries: MMT planned on 6, 7 and 8 summit devices must
+// give every key two snapshots share the same derivation tree, node for
+// node, wherever the two validity intervals overlap. That is what lets
+// Merge union snapshots of different device counts. The sizes are not
+// multiples of 4: at 4 vs 8 summit's periodic class ids would hide a
+// class id that names different blocks at different sizes, and a wrong
+// entry need not change a final plan, so TestWarmColdEquivalence alone
+// cannot see one.
+func TestCrossSizeEntryEquivalence(t *testing.T) {
+	g := models.MMT(models.DefaultMMTConfig())
+	const mb = 128
+	snaps := map[int]*memosnap.Snapshot{}
+	for _, d := range []int{6, 7, 8} {
+		_, snaps[d] = coldSnapshot(t, g, d, mb)
+	}
+	for _, pair := range [][2]int{{6, 8}, {7, 8}, {6, 7}} {
+		overlapping, mismatched := 0, 0
+		for i := range snaps[pair[0]].Searches {
+			a := &snaps[pair[0]].Searches[i]
+			b := snaps[pair[1]].Search(int(a.MiniBatch), int(a.RootB))
+			if b == nil {
+				continue
+			}
+			if !slices.Equal(a.Configs, b.Configs) || !slices.Equal(a.Boundary, b.Boundary) || a.NumZones != b.NumZones {
+				t.Fatalf("%d vs %d devices: search (%d,%d) has another keyspace", pair[0], pair[1], a.MiniBatch, a.RootB)
+			}
+			for _, x := range sharedVariants(a.Entries, b.Entries) {
+				overlapping++
+				if !sameTree(a, x[0].Val, b, x[1].Val) {
+					mismatched++
+					if mismatched <= 3 {
+						t.Errorf("%d vs %d devices: key %#x, [%g, %g) vs [%g, %g): derivation trees differ",
+							pair[0], pair[1], x[0].Key, x[0].Lo, x[0].Hi, x[1].Lo, x[1].Hi)
+					}
+				}
+			}
+		}
+		t.Logf("%d vs %d devices: %d overlapping variant pairs, %d mismatched", pair[0], pair[1], overlapping, mismatched)
+		if overlapping == 0 {
+			t.Errorf("%d vs %d devices: no shared key with overlapping intervals; the check is vacuous", pair[0], pair[1])
+		}
+	}
+}
+
+// sharedVariants pairs every variant of a with every variant of b that has
+// the same key and an overlapping validity interval. Both lists are sorted
+// by key.
+func sharedVariants(a, b []memosnap.Entry) [][2]memosnap.Entry {
+	var out [][2]memosnap.Entry
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].Key < b[j].Key:
+			i++
+		case a[i].Key > b[j].Key:
+			j++
+		default:
+			ie, je := i, j
+			for ie < len(a) && a[ie].Key == a[i].Key {
+				ie++
+			}
+			for je < len(b) && b[je].Key == b[j].Key {
+				je++
+			}
+			for _, x := range a[i:ie] {
+				for _, y := range b[j:je] {
+					if x.Lo < y.Hi && y.Lo < x.Hi {
+						out = append(out, [2]memosnap.Entry{x, y})
+					}
+				}
+			}
+			i, j = ie, je
+		}
+	}
+	return out
+}
+
+// sameTree reports whether node i of a and node j of b root the same
+// derivation tree: equal fields at every node, children compared in order.
+func sameTree(a *memosnap.SearchMemo, i int32, b *memosnap.SearchMemo, j int32) bool {
+	if i == memosnap.Infeasible || j == memosnap.Infeasible {
+		return i == j
+	}
+	x, y := a.Nodes[i], b.Nodes[j]
+	if x.Leaf != y.Leaf || x.Zone != y.Zone || x.Devs != y.Devs || x.NStages != y.NStages ||
+		x.Cfg != y.Cfg || x.InFlight != y.InFlight || x.Mem != y.Mem || x.TPS != y.TPS {
+		return false
+	}
+	return x.Leaf || sameTree(a, x.Left, b, y.Left) && sameTree(a, x.Right, b, y.Right)
+}
+
 // TestSnapshotRoundTripByteStable pins the two byte-stability properties
 // the disk tier and the merged sweep files rest on: the wire format
 // round-trips exactly, and a search that imports a snapshot but computes
@@ -169,7 +327,7 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 	}
 	p2.zones.resolveAll(p2.zones.intern(p2.dec.Root()))
 	p2.evalCaches = map[int]*evalTable{}
-	re := &memosnap.Snapshot{Key: decoded.Key, Devices: decoded.Devices}
+	re := &memosnap.Snapshot{Key: decoded.Key}
 	for i := range decoded.Searches {
 		sm := &decoded.Searches[i]
 		s := p2.newSearch(int(sm.RootB), int(sm.MiniBatch), nil, nil)

@@ -8,9 +8,11 @@
 // whose validity interval its targets miss. The format is read-optimized in
 // the spirit of asymmetric-memory data structures — a snapshot is written
 // once, at the end of a search, and consulted by many later ones — so the
-// layout is flat arrays (keys, intervals, node records) that import in one
-// linear pass, with a single checksum verified up front instead of
-// per-record framing.
+// layout is flat arrays (keys, intervals, node records) with a single
+// checksum verified up front instead of per-record framing. An importer
+// validates the arrays in one linear pass and then pays only for what it
+// reads: entries are binary-searched on demand, and a derivation node is
+// rebuilt the first time an entry that reaches it is used.
 //
 // The package is a leaf: it knows nothing about graphs, planners, or
 // services, only the numeric shape of a memo. internal/core translates its
@@ -28,9 +30,10 @@ import (
 
 // SnapshotVersion is the wire-format version. Decode rejects other
 // versions with ErrUnknownSnapshotVersion rather than guessing.
-// Version 3 records the device count once per snapshot and carries keys
-// whose placement class ids need no translation table.
-const SnapshotVersion = 3
+// Version 4 carries no device count: a snapshot's keys name their own
+// block sizes and placement classes, and Merge unions snapshots planned
+// on any device count.
+const SnapshotVersion = 4
 
 // snapshotMagic prefixes every encoded snapshot.
 var snapshotMagic = [6]byte{'G', 'P', 'M', 'E', 'M', 'O'}
@@ -70,8 +73,9 @@ type Config struct {
 }
 
 // Node is one flattened dpResult. Children precede parents: an encoded
-// node may reference only lower-indexed nodes, so an importer rebuilds the
-// derivation forest in one forward pass.
+// node may reference only lower-indexed nodes, so an importer validates
+// the derivation forest in one forward pass, and the forest has no cycle
+// for an on-demand rebuild to loop on.
 type Node struct {
 	// Leaf marks a base-case (single stage) result.
 	Leaf bool
@@ -136,15 +140,13 @@ type SearchMemo struct {
 	Entries []Entry
 }
 
-// Snapshot is one Plan call's exported memo: identity plus one SearchMemo
-// per micro-batch-size search.
+// Snapshot is one or more Plan calls' exported memo: identity plus one
+// SearchMemo per micro-batch-size search. It names no device count: an
+// importer on any cluster size uses the entries its searches query, and
+// entries for degrees or placement classes its cluster lacks are simply
+// never queried.
 type Snapshot struct {
-	Key Key
-	// Devices is the cluster size the snapshot was planned on. An importer
-	// at a different device count still uses the memo (entries for degrees
-	// or placement classes its cluster lacks are simply never queried);
-	// Merge reads it to keep one device count per snapshot.
-	Devices  int32
+	Key      Key
 	Searches []SearchMemo
 }
 
@@ -180,18 +182,18 @@ func (s *Snapshot) Entries() int {
 // values remapped accordingly. Entry-level union is sound for the same
 // reason the probe-spanning memo is: a memo value is a pure function of
 // its packed key and validity interval, so variants from different
-// searches never disagree where their intervals overlap. The union is
-// what lets an exporter emit only the entries its own search computed: the
-// accumulated snapshot grows by exactly the new work, instead of being
-// re-serialized wholesale on every plan.
+// searches never disagree where their intervals overlap — whatever device
+// count each was planned on, because a key names its block's size and
+// placement class, not the cluster's. The union is what lets an exporter
+// emit only the entries its own search computed: the accumulated snapshot
+// grows by exactly the new work, instead of being re-serialized wholesale
+// on every plan, and an elastic sweep warm-starts each step from every
+// step before it.
 //
 // A matched pair whose structural fields (NumZones, Configs, Boundary)
 // disagree cannot share a keyspace, so src's side wins outright. A nil
-// argument yields the other; mismatched keys yield src (a snapshot for a
-// different question replaces, not extends), and so does a src planned on
-// a different device count: the union would be sound, but every later
-// Merge copies it and every import rebuilds all of its nodes, so a
-// device-count sweep would pay for what it accumulated on each replan.
+// argument yields the other, and mismatched keys yield src: a snapshot
+// for a different question replaces, not extends.
 func Merge(dst, src *Snapshot) *Snapshot {
 	if dst == nil {
 		return src
@@ -199,10 +201,10 @@ func Merge(dst, src *Snapshot) *Snapshot {
 	if src == nil {
 		return dst
 	}
-	if dst.Key != src.Key || dst.Devices != src.Devices {
+	if dst.Key != src.Key {
 		return src
 	}
-	out := &Snapshot{Key: src.Key, Devices: src.Devices}
+	out := &Snapshot{Key: src.Key}
 	used := make([]bool, len(src.Searches))
 	for i := range dst.Searches {
 		d := &dst.Searches[i]
@@ -325,7 +327,6 @@ func remap(e Entry, offset int32) Entry {
 //	magic[6] version:u32 crc:u32            (crc over everything after it)
 //	graphHashLen:u32 graphHash[...]
 //	shapeSig:u64 costSig:u64
-//	devices:i32
 //	numSearches:u32
 //	per search:
 //	  miniBatch:i32 rootB:i32 numZones:i32
@@ -362,7 +363,6 @@ func Encode(s *Snapshot) []byte {
 	w.buf = append(w.buf, s.Key.GraphHash...)
 	w.u64(s.Key.ShapeSig)
 	w.u64(s.Key.CostSig)
-	w.i32(s.Devices)
 
 	w.u32(uint32(len(s.Searches)))
 	for i := range s.Searches {
@@ -411,7 +411,7 @@ func Encode(s *Snapshot) []byte {
 }
 
 func encodedSizeHint(s *Snapshot) int {
-	n := headerSize + 4 + len(s.Key.GraphHash) + 16 + 4 + 4
+	n := headerSize + 4 + len(s.Key.GraphHash) + 16 + 4
 	for i := range s.Searches {
 		sm := &s.Searches[i]
 		n += 3*4 + 4*4
@@ -514,7 +514,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	r.off += hlen
 	s.Key.ShapeSig = r.u64()
 	s.Key.CostSig = r.u64()
-	s.Devices = r.i32()
 
 	nSearches := r.count(3*4 + 4*4)
 	for i := 0; i < nSearches && r.err == nil; i++ {
@@ -549,7 +548,8 @@ func Decode(data []byte) (*Snapshot, error) {
 				n.InFlight = r.i32()
 				n.Mem = r.f64()
 				n.TPS = r.f64()
-				// Children strictly precede parents so import is one pass.
+				// Children strictly precede parents, so the forest is
+				// acyclic and validates in one pass.
 				if !n.Leaf && r.err == nil {
 					if n.Left < 0 || int(n.Left) >= j || n.Right < 0 || int(n.Right) >= j {
 						r.err = fmt.Errorf("%w: node %d references children %d/%d out of order", ErrCorruptSnapshot, j, n.Left, n.Right)

@@ -11,8 +11,7 @@ import (
 
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		Key:     Key{GraphHash: "abcd1234", ShapeSig: 0x1122334455667788, CostSig: 0x99aabbccddeeff00},
-		Devices: 4,
+		Key: Key{GraphHash: "abcd1234", ShapeSig: 0x1122334455667788, CostSig: 0x99aabbccddeeff00},
 		Searches: []SearchMemo{
 			{
 				MiniBatch: 32, RootB: 8, NumZones: 7,
@@ -49,8 +48,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Key != s.Key || got.Devices != s.Devices {
-		t.Errorf("identity drifted: %+v@%d vs %+v@%d", got.Key, got.Devices, s.Key, s.Devices)
+	if got.Key != s.Key {
+		t.Errorf("identity drifted: %+v vs %+v", got.Key, s.Key)
 	}
 	if got.Entries() != s.Entries() {
 		t.Errorf("entry count drifted: %d vs %d", got.Entries(), s.Entries())
@@ -116,12 +115,12 @@ func TestDecodeFailureClasses(t *testing.T) {
 // remapped), exact-duplicate variants deduplicate, structurally
 // incompatible pairs fall back to src-wins, and merging an empty export
 // leaves dst byte-identical — the drift-free accumulation the incremental
-// exporter relies on. A src of another key or device count replaces dst.
+// exporter relies on. A src of another key replaces dst; the device count
+// a snapshot was planned on plays no part (the format does not record it).
 func TestMerge(t *testing.T) {
 	old := sampleSnapshot()
 	fresh := &Snapshot{
-		Key:     old.Key,
-		Devices: old.Devices,
+		Key: old.Key,
 		Searches: []SearchMemo{
 			// Compatible with old's (32,8): a new key with its own node, a
 			// new span variant of an existing key, and an exact duplicate.
@@ -192,8 +191,7 @@ func TestMerge(t *testing.T) {
 	// An imported-but-unprobed search exports an empty SearchMemo; merging
 	// it must reproduce dst's bytes exactly.
 	empty := &Snapshot{
-		Key:     old.Key,
-		Devices: old.Devices,
+		Key: old.Key,
 		Searches: []SearchMemo{
 			{MiniBatch: 32, RootB: 8, NumZones: 7,
 				Configs:  []Config{{MicroBatch: 8, K: 1}},
@@ -215,10 +213,26 @@ func TestMerge(t *testing.T) {
 	if got := Merge(old, other); got != other {
 		t.Errorf("mismatched keys should yield src wholesale")
 	}
-	resized := sampleSnapshot()
-	resized.Devices = 2
-	if got := Merge(old, resized); got != resized {
-		t.Errorf("a src planned on another device count should yield src wholesale")
+
+	// A src planned on another device count — here, a search that
+	// computed only new keys — unions like any other: the accumulated
+	// snapshot keeps every entry of both.
+	resized := &Snapshot{
+		Key: old.Key,
+		Searches: []SearchMemo{
+			{MiniBatch: 32, RootB: 8, NumZones: 7,
+				Configs:  []Config{{MicroBatch: 8, K: 1}},
+				Boundary: []Config{{MicroBatch: 8, K: 1}},
+				Entries:  []Entry{{Key: 0x2001, Lo: 0, Hi: 1e-4, Val: Infeasible}}},
+		},
+	}
+	u := Merge(old, resized)
+	if u == resized || u.Entries() != old.Entries()+1 {
+		t.Errorf("a src planned on another device count should union: %d entries, want %d",
+			u.Entries(), old.Entries()+1)
+	}
+	if sm := u.Search(32, 8); sm == nil || sm.Entries[0].Key != 0x2001 || len(sm.Nodes) != len(old.Searches[0].Nodes) {
+		t.Errorf("union of (32,8) lost order or nodes: %+v", sm)
 	}
 }
 

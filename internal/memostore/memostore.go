@@ -4,7 +4,10 @@
 // under the daemon's cache directory. internal/service installs a snapshot
 // after every successful graphpipe plan and looks one up before the next,
 // so a request for the same canonical graph at a different device count or
-// target warm-starts from a mostly-valid memo.
+// target warm-starts from a mostly-valid memo. Installs union into the
+// stored snapshot, so a key's snapshot accumulates every device count and
+// mini-batch planned under it; the store bounds how many snapshots it
+// holds, not their bytes.
 //
 // The store follows the same discipline as the service's artifact cache:
 // snapshots are immutable once installed (Install merges by building a new
@@ -123,14 +126,14 @@ func (s *Store) Lookup(k memosnap.Key) *memosnap.Snapshot {
 }
 
 // Install merges a freshly exported snapshot into the store
-// (memosnap.Merge): an existing snapshot for the same key and device count
-// keeps the searches the new one did not re-run, so replans at one device
-// count accumulate one shard covering every mini-batch they visited. A
-// snapshot planned on another device count replaces the stored one, so on
-// summit, where one key spans every device count, a device-count sweep
-// keeps only its latest step. The merge happens under the store lock —
-// two concurrent installs for one key serialize, and each sees the other's
-// completed merge, never a partial one.
+// (memosnap.Merge): the stored snapshot for the same key gains every entry
+// the new one computed and keeps the searches it did not re-run, whatever
+// device count either was planned on. On summit, where one key spans every
+// device count, an elastic sweep's shard therefore accumulates every step,
+// and so does a snapshot a peer offers for a neighboring device count.
+// Nothing bounds that growth but the count of keys held. The merge happens
+// under the store lock — two concurrent installs for one key serialize,
+// and each sees the other's completed merge, never a partial one.
 func (s *Store) Install(snap *memosnap.Snapshot) {
 	if snap == nil {
 		return

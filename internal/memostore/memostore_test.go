@@ -11,8 +11,7 @@ import (
 
 func snapFor(hash string, mb, rootB int32) *memosnap.Snapshot {
 	return &memosnap.Snapshot{
-		Key:     memosnap.Key{GraphHash: hash, ShapeSig: 1, CostSig: 2},
-		Devices: 4,
+		Key: memosnap.Key{GraphHash: hash, ShapeSig: 1, CostSig: 2},
 		Searches: []memosnap.SearchMemo{{
 			MiniBatch: mb, RootB: rootB, NumZones: 3,
 			Configs: []memosnap.Config{{MicroBatch: rootB, K: 1}},

@@ -348,8 +348,7 @@ func TestMemoOfferEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	snap := &memosnap.Snapshot{
-		Key:     memosnap.Key{GraphHash: "test-graph", ShapeSig: 7, CostSig: 9},
-		Devices: 4,
+		Key: memosnap.Key{GraphHash: "test-graph", ShapeSig: 7, CostSig: 9},
 		Searches: []memosnap.SearchMemo{
 			{MiniBatch: 8, RootB: 4, NumZones: 1},
 		},
