@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
@@ -148,14 +149,16 @@ func TestChainPlannersAgree(t *testing.T) {
 // states and candidate stages plus the stage-cost entries it keeps until
 // the search ends. On 4-branch MMT the cache grows by more than one entry
 // per step (a stage is costed at every replication factor), so counting
-// steps alone let it outgrow the budget.
+// steps alone let it outgrow the budget. The exact split pins where the
+// budget stops the search: a change to how costs are stored must not move
+// it.
 func TestPiperCostCacheWithinBudget(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
 	topo := cluster.NewSummitTopology(4)
 	const budget, mini = 200_000, 64
-	s := &search{g: g, model: costmodel.NewDefault(topo), topo: topo, mem: topo.MinMemory(),
-		sp: downsets{g}, b: planner.MicroBatchCandidates(mini, 0, 0)[0], mini: mini,
-		memo: make(map[memoKey]entry), costs: make(map[costKey]stageCost), budget: budget}
+	const wantSteps, wantCosted = 92_090, 107_910
+	s := newSearch(g, costmodel.NewDefault(topo), topo, downsets{g},
+		planner.MicroBatchCandidates(mini, 0, 0)[0], mini, budget, time.Time{})
 	var err error
 	for depth := 1; depth <= topo.Len() && err == nil; depth++ {
 		_, err = s.solve(s.sp.root(), topo.Len(), depth)
@@ -164,10 +167,9 @@ func TestPiperCostCacheWithinBudget(t *testing.T) {
 		t.Fatalf("search ended with %v, want the budget error", err)
 	}
 	if s.spent() > budget {
-		t.Errorf("%d steps + %d cost entries exceed the budget of %d", s.states, len(s.costs), budget)
+		t.Errorf("%d steps + %d cost entries exceed the budget of %d", s.states, s.costed, budget)
 	}
-	if len(s.costs) == 0 {
-		t.Error("the search cached no stage costs; the check is vacuous")
+	if s.states != wantSteps || s.costed != wantCosted {
+		t.Errorf("budget spent as %d steps + %d cost entries, want %d + %d", s.states, s.costed, wantSteps, wantCosted)
 	}
-	t.Logf("%d steps, %d cost entries", s.states, len(s.costs))
 }

@@ -80,10 +80,10 @@ type memoKey struct {
 	n, d, depth int32
 }
 
-// costKey names a stage on d1 replicas.
-type costKey struct {
-	key   uint64
-	n, d1 int32
+// stageKey names a candidate stage.
+type stageKey struct {
+	key uint64
+	n   int32
 }
 
 // entry is the best chain found for a DP state: its bottleneck TPS, and
@@ -95,8 +95,65 @@ type entry struct {
 	ok         bool
 }
 
+// A costRow holds one stage's costs by replication factor: element d1-1
+// is the stage on d1 replicas, filled in when the DP first tries it.
+type costRow []stageCost
+
 type stageCost struct {
 	tps, weights, actPerSample float64
+	costed                     bool
+}
+
+// costRows keeps a search's cost rows. A row is a run of slots in one of
+// a list of fixed-size chunks, and the index names it by its first slot
+// and its length, so a row costs no allocation and no slice header of its
+// own: a bounded Piper search holds over a million rows, most of them
+// with one or two degrees costed.
+type costRows struct {
+	index    map[stageKey]rowRef
+	chunks   [][]stageCost
+	chunkLen int // slots per chunk, at least the longest row
+	used     int // slots taken in the last chunk
+}
+
+// rowRef names a row by its first slot, counted across chunks, and its
+// length.
+type rowRef struct{ at, n int32 }
+
+func newCostRows(maxRow int) costRows {
+	return costRows{index: make(map[stageKey]rowRef), chunkLen: max(1<<14, maxRow)}
+}
+
+// get returns the row of key, at least n degrees long. A row gets the
+// degrees its first visit asks for; a later visit that asks for more moves
+// it, costs and all, to a longer run.
+func (c *costRows) get(key stageKey, n int) costRow {
+	ref, ok := c.index[key]
+	if ok && int(ref.n) >= n {
+		return c.run(ref)
+	}
+	moved := c.alloc(n)
+	if ok {
+		copy(c.run(moved), c.run(ref))
+	}
+	c.index[key] = moved
+	return c.run(moved)
+}
+
+func (c *costRows) run(ref rowRef) costRow {
+	chunk := c.chunks[int(ref.at)/c.chunkLen]
+	off := int(ref.at) % c.chunkLen
+	return chunk[off : off+int(ref.n) : off+int(ref.n)]
+}
+
+func (c *costRows) alloc(n int) rowRef {
+	if len(c.chunks) == 0 || c.used+n > c.chunkLen {
+		c.chunks = append(c.chunks, make([]stageCost, c.chunkLen))
+		c.used = 0
+	}
+	ref := rowRef{at: int32((len(c.chunks)-1)*c.chunkLen + c.used), n: int32(n)}
+	c.used += n
+	return ref
 }
 
 // search is the DP for one micro-batch size.
@@ -108,17 +165,24 @@ type search struct {
 	sp       space
 	b, mini  int
 	memo     map[memoKey]entry
-	costs    map[costKey]stageCost
+	costs    costRows
+	costed   int // stage-cost entries filled in, over every row
 	states   int
 	budget   int
 	deadline time.Time
+}
+
+func newSearch(g *graph.Graph, model costmodel.Model, topo *cluster.Topology, sp space, b, mini, budget int, deadline time.Time) *search {
+	return &search{g: g, model: model, topo: topo, mem: topo.MinMemory(), sp: sp, b: b, mini: mini,
+		memo: make(map[memoKey]entry), costs: newCostRows(topo.Len()),
+		budget: budget, deadline: deadline}
 }
 
 // spent is what the search has taken from its budget: one unit per DP
 // state and candidate stage (states, which Stats.DPStates reports), and
 // one per stage-cost entry, which stays live until the search ends. A
 // memo entry needs no unit of its own: each DP state makes at most one.
-func (s *search) spent() int { return s.states + len(s.costs) }
+func (s *search) spent() int { return s.states + s.costed }
 
 // step counts one DP state or candidate stage against the budget, unless
 // the budget is spent, and every 65536 steps checks the deadline.
@@ -130,27 +194,38 @@ func (s *search) step() error {
 	return nil
 }
 
+// row returns the cost row of stage with at least its first n degrees.
+// The DP looks a stage's row up once per visit and then indexes it by
+// replication factor.
+func (s *search) row(stage set, n int) costRow {
+	return s.costs.get(stageKey{stage.key, int32(stage.n)}, n)
+}
+
 // stageTPS returns the TPS of the stage that takes state st to rest on d1
-// replicas, and whether its weights plus the activations of depth
-// in-flight micro-batches fit device memory. Each (stage, d1) is costed
-// once per search, and a new cost entry is refused once the budget is
-// spent, so the cache never outgrows the budget.
-func (s *search) stageTPS(st, stage, rest set, d1, depth int) (float64, bool, error) {
-	key := costKey{stage.key, int32(stage.n), int32(d1)}
-	c, ok := s.costs[key]
-	if !ok {
+// replicas, read from the stage's row, and whether its weights plus the
+// activations of depth in-flight micro-batches fit device memory. Each
+// (stage, d1) is costed once per search, and a new cost entry is refused
+// once the budget is spent, so the rows never outgrow the budget. ops
+// caches the stage's operators across the degrees of one visit: a stage
+// is never empty, so an empty *ops means they are not built yet.
+func (s *search) stageTPS(row costRow, ops *graph.NodeSet, st, rest set, d1, depth int) (float64, bool, error) {
+	c := &row[d1-1]
+	if !c.costed {
 		if s.spent() >= s.budget {
 			return 0, false, errBudget
 		}
+		if ops.Empty() {
+			*ops = s.sp.between(st, rest)
+		}
 		costs := s.model.Stage(s.g, costmodel.StageConfig{
-			Ops:                s.sp.between(st, rest),
+			Ops:                *ops,
 			MicroBatch:         s.b,
 			DataPar:            d1,
 			InterNode:          s.topo.Len() > 4,
 			InterNodeAllreduce: d1 > 4,
 		})
-		c = stageCost{costs.TPS(s.b, s.mini), costs.WeightBytes, costs.ActivationBytesPerSample}
-		s.costs[key] = c
+		*c = stageCost{costs.TPS(s.b, s.mini), costs.WeightBytes, costs.ActivationBytesPerSample, true}
+		s.costed++
 	}
 	return c.tps, c.weights+c.actPerSample*float64(depth*s.b) <= s.mem, nil
 }
@@ -168,7 +243,8 @@ func (s *search) solve(st set, d, depth int) (entry, error) {
 	best := entry{bottleneck: math.Inf(1)}
 	if depth == 1 {
 		// One final stage holds the whole state.
-		tps, ok, err := s.stageTPS(st, st, set{}, d, 1)
+		var ops graph.NodeSet
+		tps, ok, err := s.stageTPS(s.row(st, d), &ops, st, set{}, d, 1)
 		if err != nil {
 			return entry{}, err
 		}
@@ -185,8 +261,12 @@ func (s *search) solve(st set, d, depth int) (entry, error) {
 		if rest.n < depth-1 {
 			return nil // too little left for the remaining stages
 		}
+		// The recursion below visits only subsets of rest, never this
+		// stage, so the row does not move while the loop holds it.
+		row := s.row(stage, d-(depth-1))
+		var ops graph.NodeSet
 		for d1 := 1; d1 <= d-(depth-1); d1++ {
-			tps, ok, err := s.stageTPS(st, stage, rest, d1, depth)
+			tps, ok, err := s.stageTPS(row, &ops, st, rest, d1, depth)
 			if err != nil {
 				return err
 			}
@@ -241,9 +321,7 @@ func plan(name string, g *graph.Graph, topo *cluster.Topology, miniBatch int, op
 	)
 	states, budget := 0, lim.budget
 	for _, b := range bCands {
-		s := &search{g: g, model: model, topo: topo, mem: topo.MinMemory(), sp: sp, b: b, mini: miniBatch,
-			memo: make(map[memoKey]entry), costs: make(map[costKey]stageCost),
-			budget: budget, deadline: deadline}
+		s := newSearch(g, model, topo, sp, b, miniBatch, budget, deadline)
 		for depth := 1; depth <= maxDepth; depth++ {
 			e, err := s.solve(root, topo.Len(), depth)
 			if err != nil {

@@ -111,10 +111,11 @@ type Options struct {
 	MemoSink func(*memosnap.Snapshot)
 	// Span, when set, records one timed span per planning phase: each
 	// per-size micro-batch search, each DP probe inside its binary
-	// search, and the memo snapshot import/export. Call at phase start,
-	// invoke the returned func at end. Spans start from concurrent pool
-	// workers, so implementations must be safe for concurrent use. nil
-	// disables phase recording with no other behavior change.
+	// search, the memo snapshot import/export, and the MemoSink call
+	// ("memo.sink"). Call at phase start, invoke the returned func at
+	// end. Spans start from concurrent pool workers, so implementations
+	// must be safe for concurrent use. nil disables phase recording with
+	// no other behavior change.
 	Span func(name string, kv ...string) func()
 }
 
@@ -1197,7 +1198,11 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		endExport := p.span("memo.export")
 		snapOut := p.exportSnapshot(snapKey, results)
 		endExport()
+		// The sink's own work (a memostore merge, say) is not the
+		// planner's: its span keeps that time out of Plan's self time.
+		endSink := p.span("memo.sink")
 		p.opts.MemoSink(snapOut)
+		endSink()
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 
 	"graphpipe/internal/cluster"
@@ -426,6 +427,62 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 	}
 	if !bytes.Equal(planBytes(t, r.Strategy, devs, mb), coldBytes) {
 		t.Error("FreshProbeMemo plan diverged")
+	}
+}
+
+// TestMemoSinkSpan pins the memo.sink span: Plan wraps its MemoSink call
+// in exactly one, so whatever the sink does (a memostore merge) is not
+// counted as Plan's own time, and a Plan without a sink records none.
+func TestMemoSinkSpan(t *testing.T) {
+	g := models.MMT(models.DefaultMMTConfig())
+	const devs, mb = 4, 64
+	for _, withSink := range []bool{true, false} {
+		var mu sync.Mutex
+		open, done := map[string]int{}, map[string]int{}
+		opts := Options{
+			Workers: 1,
+			Span: func(name string, _ ...string) func() {
+				mu.Lock()
+				open[name]++
+				mu.Unlock()
+				return func() {
+					mu.Lock()
+					open[name]--
+					done[name]++
+					mu.Unlock()
+				}
+			},
+		}
+		sinkInSpan := false
+		if withSink {
+			opts.MemoSink = func(*memosnap.Snapshot) {
+				mu.Lock()
+				sinkInSpan = open["memo.sink"] == 1
+				mu.Unlock()
+			}
+		}
+		topo := cluster.NewSummitTopology(devs)
+		p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(mb); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if withSink {
+			want = 1
+			if !sinkInSpan {
+				t.Error("MemoSink ran outside the memo.sink span")
+			}
+		}
+		if done["memo.sink"] != want || open["memo.sink"] != 0 {
+			t.Errorf("sink set %v: %d memo.sink spans ended (%d left open), want %d",
+				withSink, done["memo.sink"], open["memo.sink"], want)
+		}
+		if done["dp.probe"] == 0 {
+			t.Errorf("sink set %v: no dp.probe span; the hook is not wired", withSink)
+		}
 	}
 }
 

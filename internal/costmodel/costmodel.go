@@ -104,12 +104,29 @@ type Model interface {
 type Analytic struct {
 	params Params
 	topo   *cluster.Topology
+	// halfSat is params.HalfSat as a table indexed by operator kind, read
+	// once per operator of every stage.
+	halfSat []float64
 }
 
+// defaultHalfSat is the saturation scale of an operator kind that
+// Params.HalfSat does not name.
+const defaultHalfSat = 4
+
 // New returns an Analytic model with the given parameters over the
-// topology.
+// topology. The model reads params.HalfSat once, here.
 func New(params Params, topo *cluster.Topology) *Analytic {
-	return &Analytic{params: params, topo: topo}
+	m := &Analytic{params: params, topo: topo}
+	for kind, half := range params.HalfSat {
+		if kind < 0 {
+			continue // no operator has a negative kind
+		}
+		for int(kind) >= len(m.halfSat) {
+			m.halfSat = append(m.halfSat, defaultHalfSat)
+		}
+		m.halfSat[kind] = half
+	}
+	return m
 }
 
 // NewDefault returns the Analytic roofline with DefaultParams. It holds
@@ -127,43 +144,59 @@ func (m *Analytic) Params() Params { return m.params }
 // efficiency returns the fraction of peak FLOPS an operator achieves at
 // perDeviceBatch samples.
 func (m *Analytic) efficiency(kind graph.OpKind, perDeviceBatch float64) float64 {
-	half, ok := m.params.HalfSat[kind]
-	if !ok {
-		half = 4
-	}
 	if perDeviceBatch <= 0 {
 		return 1
 	}
+	half := float64(defaultHalfSat)
+	if kind >= 0 && int(kind) < len(m.halfSat) {
+		half = m.halfSat[kind]
+	}
 	return perDeviceBatch / (perDeviceBatch + half)
+}
+
+// backwardFLOPs returns the per-sample FLOPs of op's backward pass.
+func (m *Analytic) backwardFLOPs(op *graph.Op) float64 {
+	if op.BwdFLOPs == 0 && op.FwdFLOPs > 0 {
+		return op.FwdFLOPs * m.params.BackwardFLOPFactor
+	}
+	return op.BwdFLOPs
+}
+
+// roofline returns the memory-bandwidth floor of one pass of op over
+// perDeviceBatch samples: moving activations (and, for embeddings,
+// gathering rows) cannot go faster than DRAM. The forward and the
+// backward pass share it.
+func roofline(op *graph.Op, perDeviceBatch, memBandwidth float64) float64 {
+	bytesMoved := (op.ActivationBytes + op.OutputBytes) * perDeviceBatch
+	return bytesMoved / memBandwidth
+}
+
+// passTime returns the time of one pass of flopsPerSample FLOPs per
+// sample over perDeviceBatch samples at compute efficiency eff on a
+// device of the given peak, floored by the pass's memory roofline.
+func (m *Analytic) passTime(flopsPerSample, perDeviceBatch, eff, peakFLOPS, membound float64) float64 {
+	compute := flopsPerSample * perDeviceBatch / (peakFLOPS * eff)
+	return math.Max(compute, membound) + m.params.KernelOverhead
 }
 
 // OpForwardTime returns the forward-pass time of op for perDeviceBatch
 // samples on a single device dev.
 func (m *Analytic) OpForwardTime(op graph.Op, perDeviceBatch float64, dev cluster.Device) float64 {
-	return m.opTime(op, op.FwdFLOPs, perDeviceBatch, dev)
+	return m.opTime(&op, op.FwdFLOPs, perDeviceBatch, dev)
 }
 
 // OpBackwardTime returns the backward-pass time of op for perDeviceBatch
 // samples on a single device dev.
 func (m *Analytic) OpBackwardTime(op graph.Op, perDeviceBatch float64, dev cluster.Device) float64 {
-	flops := op.BwdFLOPs
-	if flops == 0 && op.FwdFLOPs > 0 {
-		flops = op.FwdFLOPs * m.params.BackwardFLOPFactor
-	}
-	return m.opTime(op, flops, perDeviceBatch, dev)
+	return m.opTime(&op, m.backwardFLOPs(&op), perDeviceBatch, dev)
 }
 
-func (m *Analytic) opTime(op graph.Op, flopsPerSample, perDeviceBatch float64, dev cluster.Device) float64 {
+func (m *Analytic) opTime(op *graph.Op, flopsPerSample, perDeviceBatch float64, dev cluster.Device) float64 {
 	if perDeviceBatch <= 0 {
 		return 0
 	}
-	eff := m.efficiency(op.Kind, perDeviceBatch)
-	compute := flopsPerSample * perDeviceBatch / (dev.PeakFLOPS * eff)
-	// Memory-bandwidth roofline: moving activations (and, for embeddings,
-	// gathering rows) cannot go faster than DRAM.
-	bytesMoved := (op.ActivationBytes + op.OutputBytes) * perDeviceBatch
-	membound := bytesMoved / dev.MemBandwidth
-	return math.Max(compute, membound) + m.params.KernelOverhead
+	return m.passTime(flopsPerSample, perDeviceBatch, m.efficiency(op.Kind, perDeviceBatch),
+		dev.PeakFLOPS, roofline(op, perDeviceBatch, dev.MemBandwidth))
 }
 
 // StageCosts describes the planner-visible cost of one candidate pipeline
@@ -253,72 +286,71 @@ type StageConfig struct {
 	Place cluster.Block
 }
 
-// blockDevices returns one representative device per distinct device class
-// occurring in the stage's placement block, or the placement-oblivious
-// device 0 when no block is set. A stage's data-parallel replicas advance in
-// lockstep, so per-op times are paced by the slowest class present.
-func (m *Analytic) blockDevices(cfg StageConfig) []cluster.Device {
-	if cfg.Place.Count <= 0 {
-		return []cluster.Device{m.topo.Device(0)}
+// pace returns the peak FLOPS and the memory bandwidth that time the
+// stage's operators: the smallest of each over the devices of its
+// placement block, or device 0's when no block is set. A stage's
+// data-parallel replicas advance in lockstep, so each operator takes the
+// longest of its times on the block's device classes. A pass's time only
+// grows as peak FLOPS or memory bandwidth shrink, and rounding keeps that
+// order, so the longest time is the time at the smallest peak and the
+// smallest bandwidth, to the bit.
+func (m *Analytic) pace(b cluster.Block) (peakFLOPS, memBandwidth float64) {
+	if b.Count <= 0 {
+		d := m.topo.Device(0)
+		return d.PeakFLOPS, d.MemBandwidth
 	}
-	var devs []cluster.Device
-	seen := -1
-	for i := cfg.Place.Start; i < cfg.Place.Start+cfg.Place.Count; i++ {
-		c := m.topo.ClassOf(cluster.DeviceID(i))
-		if c == seen {
-			continue
-		}
-		dup := false
-		for j := cfg.Place.Start; j < i; j++ {
-			if m.topo.ClassOf(cluster.DeviceID(j)) == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			devs = append(devs, m.topo.Device(cluster.DeviceID(i)))
-		}
-		seen = c
+	devs := m.topo.Devices()[b.Start : b.Start+b.Count]
+	peakFLOPS, memBandwidth = devs[0].PeakFLOPS, devs[0].MemBandwidth
+	for i := 1; i < len(devs); i++ {
+		peakFLOPS = min(peakFLOPS, devs[i].PeakFLOPS)
+		memBandwidth = min(memBandwidth, devs[i].MemBandwidth)
 	}
-	return devs
+	return peakFLOPS, memBandwidth
 }
 
-// Stage computes the costs of a stage over computation graph g.
+// Stage computes the costs of a stage over computation graph g. It walks
+// the stage's operators and their in-edges once, in increasing id order,
+// and allocates nothing.
 func (m *Analytic) Stage(g *graph.Graph, cfg StageConfig) StageCosts {
 	if cfg.DataPar < 1 {
 		cfg.DataPar = 1
 	}
-	devs := m.blockDevices(cfg)
+	peak, memBW := m.pace(cfg.Place)
 	perDev := float64(cfg.MicroBatch) / float64(cfg.DataPar)
+	ops := g.Ops()
 
 	var out StageCosts
-	for _, id := range cfg.Ops.IDs() {
-		op := g.Op(id)
-		var fwd, bwd float64
-		for _, dev := range devs {
-			if t := m.OpForwardTime(op, perDev, dev); t > fwd {
-				fwd = t
+	// inEdge is the largest per-sample activation stream entering the
+	// stage: the largest OutputBytes of a producer outside it.
+	var inEdge, gradBytes float64
+	for v, ok := cfg.Ops.Next(0); ok; v, ok = cfg.Ops.Next(v + 1) {
+		op := &ops[v]
+		// A pass that takes no positive time adds nothing; the sums start
+		// at +0, so skipping it leaves them bit-identical.
+		if perDev > 0 {
+			eff := m.efficiency(op.Kind, perDev)
+			membound := roofline(op, perDev, memBW)
+			if t := m.passTime(op.FwdFLOPs, perDev, eff, peak, membound); t > 0 {
+				out.ForwardTime += t
 			}
-			if t := m.OpBackwardTime(op, perDev, dev); t > bwd {
-				bwd = t
+			if t := m.passTime(m.backwardFLOPs(op), perDev, eff, peak, membound); t > 0 {
+				out.BackwardTime += t
 			}
 		}
-		out.ForwardTime += fwd
-		out.BackwardTime += bwd
 		out.WeightBytes += op.ParamBytes * m.params.WeightStateMultiplier
 		out.ActivationBytesPerSample += op.ActivationBytes / float64(cfg.DataPar)
+		gradBytes += op.ParamBytes
+		for _, p := range g.Pred(v) {
+			if ob := ops[p].OutputBytes; ob > inEdge && !cfg.Ops.Contains(p) {
+				inEdge = ob
+			}
+		}
 	}
 
 	// Activations arrive over one point-to-point link per producing stage;
 	// transfers from different producers proceed in parallel, so the stage
 	// boundary is charged the largest single stream rather than the sum.
-	inBytes := m.maxInEdgeBytes(g, cfg.Ops) * float64(cfg.MicroBatch)
-	gradBytes := 0.0
-	if cfg.DataPar > 1 {
-		for _, id := range cfg.Ops.IDs() {
-			gradBytes += g.Op(id).ParamBytes
-		}
-	}
+	inBytes := inEdge * float64(cfg.MicroBatch)
 	if cfg.Place.Count > 0 {
 		// Placement-aware: the block's in-link level sets the boundary
 		// rates, with activations flowing down the hierarchy and gradients
@@ -364,28 +396,6 @@ func (m *Analytic) Stage(g *graph.Graph, cfg StageConfig) StageCosts {
 		out.AllreducePerIter = 2 * (d - 1) / d * gradBytes / arBW
 	}
 	return out
-}
-
-// maxInEdgeBytes returns the largest per-sample activation stream entering
-// the op set: the maximum OutputBytes over producers outside the set with an
-// edge into it.
-func (m *Analytic) maxInEdgeBytes(g *graph.Graph, set graph.NodeSet) float64 {
-	var max float64
-	for v := 0; v < g.Len(); v++ {
-		id := graph.NodeID(v)
-		if set.Contains(id) {
-			continue
-		}
-		for _, w := range g.Succ(id) {
-			if set.Contains(w) {
-				if ob := g.Op(id).OutputBytes; ob > max {
-					max = ob
-				}
-				break
-			}
-		}
-	}
-	return max
 }
 
 // TPS returns the Time-Per-Sample of the stage (StageCosts.TPS).

@@ -161,6 +161,29 @@ func (s NodeSet) Disjoint(t NodeSet) bool {
 	return true
 }
 
+// Next returns the smallest element of s that is at least from, and false
+// when there is none. It walks a set in increasing order without
+// allocating:
+//
+//	for v, ok := s.Next(0); ok; v, ok = s.Next(v + 1) { ... }
+func (s NodeSet) Next(from NodeID) (NodeID, bool) {
+	if from < 0 {
+		from = 0
+	}
+	wi := int(from) / 64
+	if wi >= len(s.words) {
+		return 0, false
+	}
+	w := s.words[wi] &^ (1<<(uint(from)%64) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.words) {
+			return 0, false
+		}
+		w = s.words[wi]
+	}
+	return NodeID(wi*64 + bits.TrailingZeros64(w)), true
+}
+
 // IDs returns the elements in increasing order.
 func (s NodeSet) IDs() []NodeID {
 	var out []NodeID

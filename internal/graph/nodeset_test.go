@@ -136,6 +136,43 @@ func TestNodeSetQuickAgainstModel(t *testing.T) {
 	}
 }
 
+// Property: walking a set with Next visits exactly IDs, in order, from any
+// starting point, across word boundaries and trailing zero words.
+func TestNodeSetNextWalksIDs(t *testing.T) {
+	f := func(xs []uint8, spare uint8, from int8) bool {
+		s := NewNodeSet(int(spare) + 1)
+		for _, x := range xs {
+			s.Add(NodeID(x))
+		}
+		var want []NodeID
+		for _, id := range s.IDs() {
+			if id >= NodeID(from) {
+				want = append(want, id)
+			}
+		}
+		var got []NodeID
+		for v, ok := s.Next(NodeID(from)); ok; v, ok = s.Next(v + 1) {
+			got = append(got, v)
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	var empty NodeSet
+	if _, ok := empty.Next(0); ok {
+		t.Error("Next on the empty set returned an element")
+	}
+}
+
 // Property: Key is injective on sets over a small universe.
 func TestNodeSetKeyInjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

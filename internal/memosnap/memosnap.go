@@ -538,7 +538,17 @@ func Decode(data []byte) (*Snapshot, error) {
 			sm.Nodes = make([]Node, nn)
 			for j := range sm.Nodes {
 				n := &sm.Nodes[j]
-				n.Leaf = r.u8() == 1
+				// Encode writes kind 1 for a leaf and 0 for an inner node;
+				// any other byte would decode to a snapshot that
+				// re-encodes to different bytes.
+				switch kind := r.u8(); kind {
+				case 0, 1:
+					n.Leaf = kind == 1
+				default:
+					if r.err == nil {
+						r.err = fmt.Errorf("%w: node %d has unknown kind %d", ErrCorruptSnapshot, j, kind)
+					}
+				}
 				n.Zone = r.i32()
 				n.Devs = r.i32()
 				n.Left = r.i32()

@@ -108,6 +108,60 @@ func TestDecodeFailureClasses(t *testing.T) {
 	s = sampleSnapshot()
 	s.Searches[0].Entries[0].Val = 99
 	futile("entry value out of range", Encode(s), ErrCorruptSnapshot)
+
+	// A node kind other than leaf (1) or inner (0) must be rejected: on
+	// the inner node below it would decode, and re-encode to different
+	// bytes.
+	s = sampleSnapshot()
+	sm := &s.Searches[0]
+	kindAt := headerSize + 4 + len(s.Key.GraphHash) + 16 + 4 + 3*4 +
+		4 + configSize*len(sm.Configs) + 4 + configSize*len(sm.Boundary) + 4 +
+		2*nodeWireSize
+	unknown := Encode(s)
+	if unknown[kindAt] != 0 {
+		t.Fatalf("byte %d is %d, not the third node's inner kind", kindAt, unknown[kindAt])
+	}
+	unknown[kindAt] = 7
+	binary.LittleEndian.PutUint32(unknown[10:14], crc32.ChecksumIEEE(unknown[headerSize:]))
+	futile("unknown node kind", unknown, ErrCorruptSnapshot)
+}
+
+// FuzzDecode feeds Decode mutated snapshots. The checksum of each input
+// is recomputed first, so a mutation reaches the body parser instead of
+// failing the CRC check. Decode must not panic, must reject only with its
+// two sentinel errors, and must accept only inputs that re-encode to the
+// same bytes: the format has one spelling per snapshot. The corpus is
+// seeded with the encoded test snapshots.
+func FuzzDecode(f *testing.F) {
+	sample := sampleSnapshot()
+	shifted := sampleSnapshot()
+	for i := range shifted.Searches[0].Entries {
+		shifted.Searches[0].Entries[i].Key += 0x10
+	}
+	for _, s := range []*Snapshot{
+		sample,
+		{Key: sample.Key},
+		{Key: sample.Key, Searches: []SearchMemo{{MiniBatch: 8, RootB: 8}}},
+		Merge(sampleSnapshot(), shifted),
+	} {
+		f.Add(Encode(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		if len(data) >= headerSize {
+			binary.LittleEndian.PutUint32(data[10:14], crc32.ChecksumIEEE(data[headerSize:]))
+		}
+		s, err := Decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrUnknownSnapshotVersion) {
+				t.Fatalf("rejected with an unclassified error: %v", err)
+			}
+			return
+		}
+		if re := Encode(s); !bytes.Equal(re, data) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different bytes", len(data), len(re))
+		}
+	})
 }
 
 // TestMerge pins entry-level union: a matched pair keeps every span

@@ -71,10 +71,11 @@ type Options struct {
 	MemoSink func(*memosnap.Snapshot)
 	// Span, when set, records one timed span per internal planning phase
 	// (per-size micro-batch searches, per-probe DP solves, memo
-	// import/export): call it at phase start with a name and alternating
-	// key/value attributes, and invoke the returned func at phase end.
-	// The service layer wires this to its request tracer; planners must
-	// tolerate nil. Spans may start from concurrent search workers.
+	// import/export, the MemoSink call): call it at phase start with a
+	// name and alternating key/value attributes, and invoke the returned
+	// func at phase end. The service layer wires this to its request
+	// tracer; planners must tolerate nil. Spans may start from concurrent
+	// search workers.
 	Span func(name string, kv ...string) func()
 }
 
