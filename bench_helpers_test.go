@@ -3,6 +3,7 @@ package graphpipe_test
 import (
 	"graphpipe/internal/experiments"
 	"graphpipe/internal/graph"
+	"graphpipe/internal/planner"
 )
 
 // runCoreWith plans with the GraphPipe planner (resolved through the
@@ -11,7 +12,7 @@ import (
 // benchmarks.
 func runCoreWith(g *graph.Graph, devices, miniBatch int, disableAnchored bool) experiments.Outcome {
 	return experiments.Run(experiments.GraphPipe, g, devices, miniBatch,
-		experiments.RunOptions{DisableSinkAnchoredSplits: disableAnchored})
+		experiments.RunOptions{Planner: planner.Options{DisableSinkAnchoredSplits: disableAnchored}})
 }
 
 // runOnBackend plans with the GraphPipe planner and evaluates on a named

@@ -20,6 +20,7 @@ import (
 	"graphpipe/internal/experiments"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 )
 
 func modelGraph(model string) (*graph.Graph, error) {
@@ -120,7 +121,7 @@ func benchTable1(b *testing.B, model string, devices int) {
 		gp = experiments.Run(experiments.GraphPipe, g, devices, mb, experiments.RunOptions{})
 		pd = experiments.Run(experiments.PipeDream, g, devices, mb, experiments.RunOptions{})
 		pi = experiments.Run(experiments.Piper, g, devices, mb,
-			experiments.RunOptions{PiperTimeout: 10 * time.Minute})
+			experiments.RunOptions{Planner: planner.Options{Timeout: 10 * time.Minute}})
 	}
 	b.ReportMetric(gp.SearchTime.Seconds(), "graphpipe_search_s")
 	b.ReportMetric(pd.SearchTime.Seconds(), "pipedream_search_s")
@@ -182,9 +183,9 @@ func benchFig7Micro(b *testing.B, micro int) {
 	var gp, pd experiments.Outcome
 	for i := 0; i < b.N; i++ {
 		gp = experiments.Run(experiments.GraphPipe, g, devices, miniBatch,
-			experiments.RunOptions{ForcedMicroBatch: micro})
+			experiments.RunOptions{Planner: planner.Options{ForcedMicroBatch: micro}})
 		pd = experiments.Run(experiments.PipeDream, g, devices, miniBatch,
-			experiments.RunOptions{ForcedMicroBatch: micro})
+			experiments.RunOptions{Planner: planner.Options{ForcedMicroBatch: micro}})
 	}
 	if gp.Failed || pd.Failed {
 		b.Fatalf("planning failed: gp=%v pd=%v", gp.Err, pd.Err)
@@ -237,7 +238,7 @@ func benchFig9(b *testing.B, model string) {
 			b.Fatal(spp.Err)
 		}
 		par = experiments.Run(experiments.GraphPipe, g, 32, mb,
-			experiments.RunOptions{ForcedMicroBatch: spp.MicroBatch})
+			experiments.RunOptions{Planner: planner.Options{ForcedMicroBatch: spp.MicroBatch}})
 		full = experiments.Run(experiments.GraphPipe, g, 32, mb, experiments.RunOptions{})
 	}
 	if par.Failed || full.Failed {

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/models"
 	"graphpipe/internal/planner"
@@ -25,6 +24,11 @@ func main() {
 	const devices, miniBatch = 8, 8192
 	topo := cluster.NewSummitTopology(devices)
 	model := costmodel.NewDefault(topo)
+	opts := planner.Options{CostModel: model}
+	graphpipe, err := planner.Get("graphpipe")
+	if err != nil {
+		log.Fatal(err)
+	}
 	pipedream, err := planner.Get("pipedream")
 	if err != nil {
 		log.Fatal(err)
@@ -38,20 +42,16 @@ func main() {
 		g := models.CANDLEUno(cfg)
 		sm := sim.New(g, model)
 
-		graphpipe, err := core.NewPlanner(g, model, core.Options{})
+		gp, _, err := graphpipe.Plan(g, topo, miniBatch, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gp, err := graphpipe.Plan(miniBatch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gpRes, err := sm.Run(gp.Strategy)
+		gpRes, err := sm.Run(gp)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		pd, _, err := pipedream.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
+		pd, _, err := pipedream.Plan(g, topo, miniBatch, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func main() {
 		fmt.Printf("%-9d %-14.0f %-14.0f %-9.2f %-11d %d\n",
 			branches, gpRes.Throughput, pdRes.Throughput,
 			gpRes.Throughput/pdRes.Throughput,
-			gp.Strategy.Depth(), pd.Depth())
+			gp.Depth(), pd.Depth())
 	}
 	fmt.Println("\nGraphPipe's pipeline depth stays flat as branches are added, while")
 	fmt.Println("the sequential baseline's depth (and its warm-up/cool-down bubble)")

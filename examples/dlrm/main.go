@@ -13,12 +13,14 @@ import (
 	"log"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/runtime"
 	"graphpipe/internal/sim"
+
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 func main() {
@@ -28,15 +30,14 @@ func main() {
 	topo := cluster.NewSummitTopology(devices)
 	model := costmodel.NewDefault(topo)
 
-	planner, err := core.NewPlanner(g, model, core.Options{})
+	graphpipe, err := planner.Get("graphpipe")
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := planner.Plan(miniBatch)
+	st, _, err := graphpipe.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := r.Strategy
 	fmt.Printf("DLRM on %d devices, mini-batch %d: %d stages, pipeline depth %d\n\n",
 		devices, miniBatch, st.NumStages(), st.Depth())
 

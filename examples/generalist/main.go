@@ -16,13 +16,14 @@ import (
 	"os"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/trace"
 
-	_ "graphpipe/internal/eval/all" // register the evaluation backends
+	_ "graphpipe/internal/eval/all"    // register the evaluation backends
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 func main() {
@@ -46,17 +47,18 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	graphpipe, err := planner.Get("graphpipe")
+	if err != nil {
+		return err
+	}
 
 	for _, perStage := range []bool{false, true} {
-		planner, err := core.NewPlanner(g, model, core.Options{PerStageMicroBatch: perStage})
+		st, _, err := graphpipe.Plan(g, topo, miniBatch,
+			planner.Options{CostModel: model, PerStageMicroBatch: perStage})
 		if err != nil {
 			return err
 		}
-		r, err := planner.Plan(miniBatch)
-		if err != nil {
-			return err
-		}
-		rep, err := ev.Evaluate(g, topo, r.Strategy, eval.Options{CostModel: model})
+		rep, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
 		if err != nil {
 			return err
 		}
@@ -64,12 +66,12 @@ func run(w io.Writer) error {
 		if perStage {
 			mode = "per-stage micro-batch"
 		}
-		fmt.Fprintf(w, "%s: %s\n", mode, trace.Summary(r.Strategy, rep))
+		fmt.Fprintf(w, "%s: %s\n", mode, trace.Summary(st, rep))
 		if perStage {
-			for i := range r.Strategy.Stages {
-				st := &r.Strategy.Stages[i]
+			for i := range st.Stages {
+				stage := &st.Stages[i]
 				fmt.Fprintf(w, "  S%-2d µB=%-4d ops=%d devices=%v\n",
-					i, st.Config.MicroBatch, st.Ops.Len(), st.Devices)
+					i, stage.Config.MicroBatch, stage.Ops.Len(), stage.Devices)
 			}
 		}
 	}

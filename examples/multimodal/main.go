@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/models"
@@ -40,6 +39,10 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	graphpipe, err := planner.Get("graphpipe")
+	if err != nil {
+		return err
+	}
 	pipedream, err := planner.Get("pipedream")
 	if err != nil {
 		return err
@@ -54,37 +57,34 @@ func run(w io.Writer) error {
 		}
 		topo := cluster.NewSummitTopology(devices)
 		model := costmodel.NewDefault(topo)
-		opts := eval.Options{CostModel: model}
+		popts := planner.Options{CostModel: model}
+		eopts := eval.Options{CostModel: model}
 
 		// GraphPipe: topology-aware graph pipeline stages.
 		t0 := time.Now()
-		graphpipe, err := core.NewPlanner(g, model, core.Options{})
-		if err != nil {
-			return err
-		}
-		gp, err := graphpipe.Plan(miniBatch)
+		gp, _, err := graphpipe.Plan(g, topo, miniBatch, popts)
 		if err != nil {
 			return err
 		}
 		gpSearch := time.Since(t0)
-		gpRes, err := ev.Evaluate(g, topo, gp.Strategy, opts)
+		gpRes, err := ev.Evaluate(g, topo, gp, eopts)
 		if err != nil {
 			return err
 		}
 
 		// PipeDream: linearized sequential pipeline.
-		pd, _, err := pipedream.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
+		pd, _, err := pipedream.Plan(g, topo, miniBatch, popts)
 		if err != nil {
 			return err
 		}
-		pdRes, err := ev.Evaluate(g, topo, pd, opts)
+		pdRes, err := ev.Evaluate(g, topo, pd, eopts)
 		if err != nil {
 			return err
 		}
 
 		fmt.Fprintf(w, "%-8d %-12d %-22s %-22s %.2fx\n",
 			devices, miniBatch,
-			fmt.Sprintf("%.0f (depth %d, %.1fs)", gpRes.Throughput, gp.Strategy.Depth(), gpSearch.Seconds()),
+			fmt.Sprintf("%.0f (depth %d, %.1fs)", gpRes.Throughput, gp.Depth(), gpSearch.Seconds()),
 			fmt.Sprintf("%.0f (depth %d)", pdRes.Throughput, pd.Depth()),
 			gpRes.Throughput/pdRes.Throughput)
 	}

@@ -13,13 +13,14 @@ import (
 	"os"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/trace"
 
-	_ "graphpipe/internal/eval/all" // register the evaluation backends
+	_ "graphpipe/internal/eval/all"    // register the evaluation backends
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 func main() {
@@ -41,19 +42,22 @@ func run(w io.Writer) error {
 	topo := cluster.NewSummitTopology(8)
 	model := costmodel.NewDefault(topo)
 
-	// 3. Discover a graph-pipeline-parallel strategy: the planner
-	// partitions the graph into a DAG of stages, assigns devices, picks
-	// micro-batch sizes, and schedules every forward/backward pass.
-	planner, err := core.NewPlanner(g, model, core.Options{})
+	// 3. Discover a graph-pipeline-parallel strategy: the "graphpipe"
+	// planner from the registry partitions the graph into a DAG of
+	// stages, assigns devices, picks micro-batch sizes, and schedules
+	// every forward/backward pass. The zero planner.Options selects the
+	// paper's defaults; CostModel shares one cost model with the
+	// evaluation below.
+	graphpipe, err := planner.Get("graphpipe")
 	if err != nil {
 		return err
 	}
 	const miniBatch = 128
-	result, err := planner.Plan(miniBatch)
+	st, _, err := graphpipe.Plan(g, topo, miniBatch, planner.Options{CostModel: model})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nstrategy:\n%s\n", result.Strategy)
+	fmt.Fprintf(w, "\nstrategy:\n%s\n", st)
 
 	// 4. Execute one training iteration through the evaluation layer. The
 	// "sim" backend is the sequential discrete-event simulator; swap the
@@ -63,11 +67,11 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := ev.Evaluate(g, topo, result.Strategy, eval.Options{CostModel: model})
+	rep, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: model})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, trace.Summary(result.Strategy, rep))
-	fmt.Fprintf(w, "\npipeline schedule:\n%s", trace.Gantt(result.Strategy, rep, 100))
+	fmt.Fprintln(w, trace.Summary(st, rep))
+	fmt.Fprintf(w, "\npipeline schedule:\n%s", trace.Gantt(st, rep, 100))
 	return nil
 }

@@ -190,30 +190,6 @@ func (t *Topology) LevelUp(l int) float64 { return t.levels[l].UpBandwidth }
 // LevelLatency returns the per-transfer latency of level l.
 func (t *Topology) LevelLatency(l int) float64 { return t.levels[l].Latency }
 
-// Flat reports whether every device pair communicates at the same
-// (symmetric) bandwidth and all devices are identical — the topologies on
-// which placement-aware and placement-oblivious costs provably coincide.
-func (t *Topology) Flat() bool {
-	if len(t.classes) > 1 {
-		return false
-	}
-	lvls, n := t.levels, len(t.devices)
-	base := lvls[0]
-	if base.UpBandwidth != base.DownBandwidth {
-		return false
-	}
-	for i, lv := range lvls {
-		if i > 0 && lvls[i-1].Width >= n {
-			break // a previous tier already spans every pair; outer tiers are unreachable
-		}
-		if lv.DownBandwidth != base.DownBandwidth || lv.UpBandwidth != base.UpBandwidth ||
-			lv.Latency != base.Latency {
-			return false
-		}
-	}
-	return true
-}
-
 // Canonical returns the canonical spec string for the topology, or "" for
 // the default summit preset at this device count. The empty string keeps
 // summit fingerprints byte-identical to their historical preimages, so

@@ -93,8 +93,9 @@ func TestUniformTopology(t *testing.T) {
 	if topo.Bandwidth(0, 2) != 5e9 {
 		t.Errorf("uniform bw = %g", topo.Bandwidth(0, 2))
 	}
-	if topo.LevelCount() != 1 || !topo.Flat() {
-		t.Errorf("uniform topology has %d levels, flat=%t; want one flat level", topo.LevelCount(), topo.Flat())
+	if topo.LevelCount() != 1 || len(topo.Classes()) != 1 {
+		t.Errorf("uniform topology has %d levels and %d device classes; want one of each",
+			topo.LevelCount(), len(topo.Classes()))
 	}
 }
 

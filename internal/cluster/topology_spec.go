@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,20 +71,27 @@ type Spec struct {
 	Assign []int
 }
 
+// positive reports whether v is a finite positive quantity.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // Validate checks the structural invariants the builder and the
-// canonical rendering rely on.
+// canonical rendering rely on. Every capability and bandwidth must be
+// finite and positive and every latency finite and non-negative: NaN
+// passes any comparison-only check (every comparison with it is false),
+// and +Inf renders as "+Inf", which the grammar cannot parse back because
+// '+' is its separator.
 func (s Spec) Validate() error {
 	if len(s.Classes) == 0 || len(s.Levels) == 0 || len(s.Assign) == 0 {
 		return fmt.Errorf("cluster: spec needs classes, levels, and an assignment")
 	}
 	for i, c := range s.Classes {
-		if c.MemoryBytes <= 0 || c.PeakFLOPS <= 0 || c.MemBandwidth <= 0 {
-			return fmt.Errorf("cluster: device class %d (%q) has non-positive capabilities", i, c.Name)
+		if !positive(c.MemoryBytes) || !positive(c.PeakFLOPS) || !positive(c.MemBandwidth) {
+			return fmt.Errorf("cluster: device class %d (%q) has capabilities that are not finite and positive", i, c.Name)
 		}
 	}
 	prev := 0
 	for i, l := range s.Levels {
-		if l.Width < 1 || l.DownBandwidth <= 0 || l.UpBandwidth <= 0 || l.Latency < 0 {
+		if l.Width < 1 || !positive(l.DownBandwidth) || !positive(l.UpBandwidth) || !(l.Latency >= 0 && !math.IsInf(l.Latency, 1)) {
 			return fmt.Errorf("cluster: level %d (%q) has invalid width/bandwidth/latency", i, l.Name)
 		}
 		if i > 0 {
@@ -190,6 +198,13 @@ func (s Spec) Canonical() string {
 	return sb.String()
 }
 
+// maxSpecDevices bounds the device count of a parsed spec. A spec string
+// arrives from CLI flags and service requests, and a count of a few
+// characters could otherwise make the parser allocate billions of
+// devices. The bound is far beyond any cluster the planners search (the
+// GraphPipe DP packs at most 127 devices into a memo key).
+const maxSpecDevices = 1 << 16
+
 // ParseSpec decodes an explicit topology spec string (the inverse of
 // Spec.Canonical, though it accepts arbitrary class/level names).
 func ParseSpec(name string) (Spec, error) {
@@ -257,6 +272,9 @@ func ParseSpec(name string) (Spec, error) {
 				n, err := strconv.Atoi(cnt)
 				if err != nil || n < 1 {
 					return Spec{}, fmt.Errorf("cluster: assignment %q: bad count", as)
+				}
+				if n > maxSpecDevices-len(spec.Assign) {
+					return Spec{}, fmt.Errorf("cluster: assignment %q: a spec names at most %d devices", as, maxSpecDevices)
 				}
 				ci, ok := classIdx[cls]
 				if !ok {

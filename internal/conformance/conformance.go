@@ -124,11 +124,12 @@ type Config struct {
 	// planners for real scheduling noise near the communication
 	// crossover, not for bugs.
 	MonotonicityTolerance float64
-	// PiperBudget bounds the exhaustive baseline's states+steps so one
+	// StateBudget is planner.Options.StateBudget for every search: it
+	// bounds the exhaustive Piper baseline's states+steps so one
 	// adversarial seed cannot stall a corpus run (default 5e6; its
 	// ErrSearchExplosion is recorded as a skip, not a violation —
 	// exceeding the budget is that planner's documented behavior).
-	PiperBudget int
+	StateBudget int
 	// AdmissibilityTolerance is the allowed relative slack of the
 	// heterogeneous admissibility bound (default 0.02): the binary search
 	// quantizes both sides' bottleneck TPS, so a strict comparison would
@@ -158,8 +159,8 @@ func (c Config) withDefaults() Config {
 	if c.AdmissibilityTolerance == 0 {
 		c.AdmissibilityTolerance = 0.02
 	}
-	if c.PiperBudget == 0 {
-		c.PiperBudget = 5_000_000
+	if c.StateBudget == 0 {
+		c.StateBudget = 5_000_000
 	}
 	return c
 }
@@ -623,7 +624,7 @@ func plan(g *graph.Graph, topo *cluster.Topology, plannerName string, mb int,
 	if err != nil {
 		return nil, planner.Stats{}, err
 	}
-	opts.StateBudget = cfg.PiperBudget
+	opts.StateBudget = cfg.StateBudget
 	opts.Timeout = time.Minute
 	return pl.Plan(g, topo, mb, opts)
 }

@@ -11,9 +11,9 @@ import (
 	"testing"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
 
@@ -56,14 +56,9 @@ func reuseCases() []reuseCase {
 // planArtifact plans g and renders the result as a serialized artifact with
 // provenance stripped of search statistics, so two planning paths that find
 // the same strategy produce byte-identical artifacts.
-func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts Options) ([]byte, *Result) {
+func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts planner.Options) ([]byte, planner.Stats) {
 	t.Helper()
-	topo := cluster.NewSummitTopology(c.devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
-	if err != nil {
-		t.Fatalf("%s/%d: NewPlanner: %v", c.name, c.devices, err)
-	}
-	r, err := p.Plan(c.miniBatch)
+	st, stats, err := graphpipe{}.Plan(g, cluster.NewSummitTopology(c.devices), c.miniBatch, opts)
 	if err != nil {
 		t.Fatalf("%s/%d: Plan: %v", c.name, c.devices, err)
 	}
@@ -72,12 +67,12 @@ func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts Options) ([]by
 		Devices:   c.devices,
 		MiniBatch: c.miniBatch,
 		Planner:   strategy.PlannerMeta{Name: "graphpipe"},
-		Strategy:  r.Strategy,
+		Strategy:  st,
 	})
 	if err != nil {
 		t.Fatalf("%s/%d: EncodeArtifact: %v", c.name, c.devices, err)
 	}
-	return data, r
+	return data, stats
 }
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -115,8 +110,8 @@ func TestCrossProbeReuseEquivalence(t *testing.T) {
 				t.Skip("32-device cells skipped in -short mode")
 			}
 			g := c.build()
-			refArt, ref := planArtifact(t, g, c, Options{Workers: 1, FreshProbeMemo: true})
-			optArt, opt := planArtifact(t, g, c, Options{Workers: 1})
+			refArt, ref := planArtifact(t, g, c, planner.Options{Workers: 1, FreshProbeMemo: true})
+			optArt, opt := planArtifact(t, g, c, planner.Options{Workers: 1})
 			if !bytes.Equal(refArt, optArt) {
 				t.Errorf("artifacts differ between fresh-memo reference and cross-probe reuse:\nref:\n%s\nopt:\n%s",
 					refArt, optArt)

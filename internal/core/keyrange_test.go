@@ -8,17 +8,18 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 )
 
-// The dpKey packing masks each field to a fixed bit width; Plan must reject
+// The dpKey packing masks each field to a fixed bit width; plan must reject
 // any configuration that could overflow a field instead of silently
 // colliding memo keys (and returning a corrupt strategy).
 
-func newTestPlanner(t *testing.T, devices int, opts Options) *Planner {
+func newTestPartitioner(t *testing.T, devices int, opts planner.Options) *partitioner {
 	t.Helper()
 	g := models.SequentialTransformer(2)
 	topo := cluster.NewSummitTopology(devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
+	p, err := newPartitioner(g, costmodel.NewDefault(topo), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,52 +28,52 @@ func newTestPlanner(t *testing.T, devices int, opts Options) *Planner {
 
 func TestKeyRangeDeviceLimit(t *testing.T) {
 	// 127 devices is the last packable count; direct validation accepts it.
-	p := newTestPlanner(t, 127, Options{})
+	p := newTestPartitioner(t, 127, planner.Options{})
 	if err := p.validateKeyRanges([]int{1}); err != nil {
 		t.Errorf("127 devices rejected: %v", err)
 	}
-	// 128 devices would wrap the 7-bit field to 0: Plan must error out.
-	p = newTestPlanner(t, 128, Options{})
-	if _, err := p.Plan(256); err == nil || !strings.Contains(err.Error(), "device") {
+	// 128 devices would wrap the 7-bit field to 0: plan must error out.
+	p = newTestPartitioner(t, 128, planner.Options{})
+	if _, _, err := p.plan(256); err == nil || !strings.Contains(err.Error(), "device") {
 		t.Errorf("128 devices: want device-limit error, got %v", err)
 	}
 }
 
 func TestKeyRangeConfigLimit(t *testing.T) {
-	ks := func(n int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i + 1
-		}
-		return out
+	// Per-stage mode interns the root config plus one per candidate size,
+	// and a mini-batch of 2^k with the cap lifted has k+1 candidates. At
+	// 2^62 that is 64 configs, one more than the 6-bit index allows (the
+	// placement dimension took the bits the config index used to have).
+	perStage := func(mini int) planner.Options {
+		return planner.Options{PerStageMicroBatch: true, MaxMicroBatch: mini}
 	}
-	// 64 schedule configs exceed the 6-bit index (the placement dimension
-	// took the bits the config index used to have).
-	p := newTestPlanner(t, 2, Options{KCandidates: ks(64)})
-	if _, err := p.Plan(4); err == nil || !strings.Contains(err.Error(), "config") {
+	p := newTestPartitioner(t, 2, perStage(1<<62))
+	if _, _, err := p.plan(1 << 62); err == nil || !strings.Contains(err.Error(), "config") {
 		t.Errorf("64 configs: want config-limit error, got %v", err)
 	}
-	// 63 fit (boundary): validation itself must pass.
-	p = newTestPlanner(t, 2, Options{KCandidates: ks(63)})
-	if err := p.validateKeyRanges([]int{1}); err != nil {
-		t.Errorf("63 configs rejected: %v", err)
+	// 63 fit (boundary): at 2^61 the config count passes, and the search
+	// is refused by the next guard, its in-flight bound, instead.
+	p = newTestPartitioner(t, 2, perStage(1<<61))
+	if _, _, err := p.plan(1 << 61); err == nil || strings.Contains(err.Error(), "config") ||
+		!strings.Contains(err.Error(), "in-flight") {
+		t.Errorf("63 configs: want the in-flight error past the config check, got %v", err)
 	}
 }
 
 func TestKeyRangeInFlightBound(t *testing.T) {
 	// A micro-batch so large that the worst-case in-flight count
-	// (3·k·b·devices) cannot fit the 22-bit field. ForcedMicroBatch
-	// bypasses the MaxMicroBatch cap, which is exactly how an oversized
-	// model would have silently truncated before the check existed.
+	// (3·b·devices) cannot fit the 22-bit field. ForcedMicroBatch bypasses
+	// the MaxMicroBatch cap, which is exactly how an oversized model would
+	// have silently truncated before the check existed.
 	const huge = 1 << 25
-	p := newTestPlanner(t, 4, Options{ForcedMicroBatch: huge})
-	if _, err := p.Plan(huge); err == nil || !strings.Contains(err.Error(), "in-flight") {
+	p := newTestPartitioner(t, 4, planner.Options{ForcedMicroBatch: huge})
+	if _, _, err := p.plan(huge); err == nil || !strings.Contains(err.Error(), "in-flight") {
 		t.Errorf("huge micro-batch: want in-flight-bound error, got %v", err)
 	}
 }
 
 func TestKeyRangeZoneLimit(t *testing.T) {
-	p := newTestPlanner(t, 2, Options{})
+	p := newTestPartitioner(t, 2, planner.Options{})
 	// White-box: inflate the interned-zone table past the 14-bit id space;
 	// building a real >16384-zone model in a unit test would dominate the
 	// suite's runtime.

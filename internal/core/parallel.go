@@ -47,17 +47,14 @@ const memoShardCount = 64
 // of binary-search targets on which it is valid (see the span type). An
 // entry is consulted by every probe of one micro-batch search; a probe
 // whose target falls outside the span recomputes the state and overwrites
-// the entry with the new value and its interval. warm marks entries seeded
-// from an imported snapshot; the first covered hit clears it and counts
-// toward the table's warmHits, so reuse is counted per entry, not per get.
-// imported persists where warm does not: the exporter skips imported
-// entries (the accumulated snapshot already holds them — memosnap.Merge
-// unions the new export in), so export cost scales with the work this
-// search actually did.
+// the entry with the new value and its interval. imported marks a variant
+// that get materialized from a warm snapshot when a probe first needed it;
+// the exporter skips imported entries (the accumulated snapshot already
+// holds them — memosnap.Merge unions the new export in), so export cost
+// scales with the work this search actually did.
 type memoEntry struct {
 	res      *dpResult
 	sp       span
-	warm     bool
 	imported bool
 }
 
@@ -92,8 +89,8 @@ type memoEntry struct {
 // to zero).
 type memoTable struct {
 	locked bool
-	// warmHits counts imported entries whose interval covered a probe
-	// target at least once (Result.MemoEntriesReused).
+	// warmHits counts the variants materialized from the imported
+	// snapshot, each once (planner.Stats.MemoEntriesReused).
 	warmHits atomic.Int64
 	// warm, when set by importMemo, resolves a (key, target) miss from
 	// the imported snapshot: it returns a covering entry to materialize
@@ -164,8 +161,8 @@ func slotHash(k dpKey) uint64 {
 	return h ^ h>>29
 }
 
-// lookup returns the entry and its slot index (so get can clear the warm
-// flag in place under the same lock acquisition).
+// lookup returns the entry and its slot index (so get can swap a covering
+// history variant into the slot under the same lock acquisition).
 func (sh *memoShard) lookup(k dpKey) (memoEntry, uint64, bool) {
 	i := slotHash(k) & sh.mask
 	for {
@@ -190,8 +187,9 @@ func (sh *memoShard) store(k dpKey, e memoEntry) {
 			old := sh.vals[i]
 			if spanSubsumes(old.sp, e.sp) {
 				// The incumbent already answers every target the new
-				// variant would; keep it (possible only when seeding —
-				// a recompute's target is by construction uncovered).
+				// variant would; keep it (possible only when two walkers
+				// raced to compute the key at one target — a lone
+				// recompute's target is by construction uncovered).
 				return
 			}
 			if !spanSubsumes(e.sp, old.sp) {
@@ -249,10 +247,6 @@ func (t *memoTable) get(k dpKey, tmax float64) (*dpResult, span, bool) {
 				break
 			}
 		}
-	}
-	if ok && e.warm && e.sp.covers(tmax) {
-		sh.vals[i].warm = false
-		t.warmHits.Add(1)
 	}
 	if t.warm != nil && (!ok || !e.sp.covers(tmax)) {
 		// Lazy warm start: materialize the covering variant, if the

@@ -34,12 +34,19 @@
 //
 // The search is parallel: the independent per-micro-batch binary searches
 // and, within each TPS probe, the root zone's series/parallel branch
-// enumeration fan out across one bounded worker pool (Options.Workers),
-// sharing a mutex-sharded memo table. Every DP value is a pure function of
-// its state key and validity interval, so the parallel search returns the
-// same strategy as the sequential path (Workers=1), and the probe-spanning
-// memo returns the same strategy as a fresh memo per probe
-// (Options.FreshProbeMemo) — both pinned by test.
+// enumeration fan out across one bounded worker pool
+// (planner.Options.Workers), sharing a mutex-sharded memo table. Every DP
+// value is a pure function of its state key and validity interval, so the
+// parallel search returns the same strategy as the sequential path
+// (Workers=1), and the probe-spanning memo returns the same strategy as a
+// fresh memo per probe (planner.Options.FreshProbeMemo) — both pinned by
+// test.
+//
+// Every stage runs synchronous 1F1B (§6's default). The scheduler and both
+// evaluators support kFkB, but the search offers no other k.
+//
+// The package exports nothing: it registers the planner as "graphpipe",
+// and callers reach it through planner.Get.
 package core
 
 import (
@@ -61,115 +68,27 @@ import (
 	"graphpipe/internal/strategy"
 )
 
-// Options tunes the planner. The zero value selects the paper's defaults
-// (§6): synchronous 1F1B and a single micro-batch size shared by all
-// stages, searched over powers of two.
-type Options struct {
-	// MaxMicroBatch caps the candidate micro-batch sizes, powers of two
-	// dividing the mini-batch (default planner.DefaultMaxMicroBatch).
-	MaxMicroBatch int
-	// KCandidates are the kFkB candidates (default {1}: 1F1B).
-	KCandidates []int
-	// ForcedMicroBatch restricts the search to exactly one micro-batch
-	// size. Used by the fixed-µB sweep (Figure 7 right) and the "Parallel"
-	// ablation arm (Figure 9).
-	ForcedMicroBatch int
-	// PerStageMicroBatch enables the fine-grained per-stage micro-batch
-	// search of §6 (Figure 5): stage boundaries may change the micro-batch
-	// size instead of inheriting the global one. Off by default, as in the
-	// paper ("performance improvements ... are incremental" for the
-	// evaluated models), and more expensive to search.
-	PerStageMicroBatch bool
-	// DisableSinkAnchoredSplits removes the partitions where a stage
-	// combines a branch tail with the merge operators (§7.5's "one stage
-	// necessarily contains the concatenation operator"). Exists for the
-	// ablation benchmarks only.
-	DisableSinkAnchoredSplits bool
-	// Workers bounds the planning worker pool shared by the
-	// per-micro-batch binary searches and the per-probe root branch
-	// enumeration: 0 means one worker per available CPU, 1 forces the
-	// fully sequential path. The chosen strategy is identical either way.
-	Workers int
-	// FreshProbeMemo restores the reference search: a fresh DP memo for
-	// every binary-search probe instead of the probe-spanning memo with
-	// monotone validity intervals. The chosen strategy is identical either
-	// way (pinned by TestCrossProbeReuseEquivalence); the flag exists for
-	// that test and for benchmarking the reuse itself. It also disables
-	// warm-starting (WarmMemo/MemoSink): the reference path plans cold.
-	FreshProbeMemo bool
-	// WarmMemo, when set, is consulted once per Plan call with the
-	// snapshot key of this (graph, options, topology/cost-model)
-	// combination. A returned snapshot warm-starts the search: each
-	// per-micro-batch search whose SearchMemo passes the compatibility
-	// checks imports the prior entries, and the validity-interval
-	// machinery invalidates exactly the entries whose [lo, hi) the new
-	// probes miss. An incompatible, corrupt, or absent snapshot degrades
-	// to a cold plan — never an error.
-	WarmMemo func(memosnap.Key) *memosnap.Snapshot
-	// MemoSink, when set, receives the completed search's exported memo
-	// snapshot after a successful Plan, for persistence across requests.
-	MemoSink func(*memosnap.Snapshot)
-	// Span, when set, records one timed span per planning phase: each
-	// per-size micro-batch search, each DP probe inside its binary
-	// search, the memo snapshot import/export, and the MemoSink call
-	// ("memo.sink"). Call at phase start, invoke the returned func at
-	// end. Spans start from concurrent pool workers, so implementations
-	// must be safe for concurrent use. nil disables phase recording with
-	// no other behavior change.
-	Span func(name string, kv ...string) func()
-}
-
-// span records one planning phase through Options.Span, degrading to a
-// no-op when no recorder is wired.
-func (p *Planner) span(name string, kv ...string) func() {
+// span records one planning phase through planner.Options.Span, degrading
+// to a no-op when no recorder is wired.
+func (p *partitioner) span(name string, kv ...string) func() {
 	if p.opts.Span == nil {
 		return func() {}
 	}
 	return p.opts.Span(name, kv...)
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxMicroBatch == 0 {
-		o.MaxMicroBatch = planner.DefaultMaxMicroBatch
-	}
-	if len(o.KCandidates) == 0 {
-		o.KCandidates = []int{1}
-	}
-	return o
-}
-
 // epsilon is the binary search's tolerance relative to the largest stage
 // TPS.
 const epsilon = 2e-3
 
-// Result is a planning outcome with search statistics.
-type Result struct {
-	Strategy *strategy.Strategy
-	// BottleneckTPS is the achieved max-stage TPS (Equation 1 objective).
-	BottleneckTPS float64
-	// DPStates counts memoized subproblems across the whole search.
-	DPStates int
-	// BinaryIters counts binary-search iterations.
-	BinaryIters int
-	// MemoWarmStarted reports that at least one per-micro-batch search
-	// imported a compatible prior memo snapshot (Options.WarmMemo).
-	MemoWarmStarted bool
-	// MemoEntriesReused counts imported memo entries whose validity
-	// interval covered a probe target, each counted at most once.
-	MemoEntriesReused int
-}
-
-// ErrNoStrategy is returned when no valid strategy exists within the device
-// memory budget.
-var ErrNoStrategy = errors.New("core: no valid strategy found")
-
-// Planner discovers GPP strategies for one model on one topology.
-type Planner struct {
+// partitioner discovers GPP strategies for one model on one topology. One
+// Plan call of the registered planner builds one partitioner.
+type partitioner struct {
 	g     *graph.Graph
 	model costmodel.Model
 	topo  *cluster.Topology
 	dec   *spgraph.Decomposer
-	opts  Options
+	opts  planner.Options
 
 	zones *zoneTable
 
@@ -283,17 +202,16 @@ func (zt *zoneTable) resolveAll(root int) {
 	}
 }
 
-// NewPlanner constructs a planner. The graph must have a single source and
-// sink (spgraph.Validate).
-func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) (*Planner, error) {
+// newPartitioner constructs a partitioner. The graph must have a single
+// source and sink (spgraph.Validate).
+func newPartitioner(g *graph.Graph, model costmodel.Model, opts planner.Options) (*partitioner, error) {
 	if err := spgraph.Validate(g); err != nil {
 		return nil, err
 	}
 	dec := spgraph.New(g)
 	zt := newZoneTable(dec)
-	opts = opts.withDefaults()
 	zt.noAnchored = opts.DisableSinkAnchoredSplits
-	p := &Planner{
+	p := &partitioner{
 		g:     g,
 		model: model,
 		topo:  model.Topology(),
@@ -478,7 +396,7 @@ func (v span) covers(t float64) bool { return v.lo <= t && t < v.hi }
 // probes is race-free. The recursion itself runs in dpWalker instances, one
 // per concurrent branch.
 type search struct {
-	p         *Planner
+	p         *partitioner
 	miniBatch int
 	rootB     int // this search's root micro-batch candidate
 	tmax      float64
@@ -489,69 +407,44 @@ type search struct {
 	states    atomic.Int64
 	pool      *workerPool // nil: fully sequential probe
 
-	// cfgs interns schedule configs for key packing. It is frozen before
-	// the search starts (every reachable config is a micro-batch candidate
-	// × kFkB candidate), so concurrent walkers read it without locking and
-	// key packing is deterministic regardless of visit order.
+	// cfgs interns schedule configs for key packing; cfgs[0] is the root
+	// config. It is frozen before the search starts (every reachable config
+	// is a micro-batch candidate), so concurrent walkers read it without
+	// locking and key packing is deterministic regardless of visit order.
 	cfgs []schedule.Config
 	// boundary is the fixed list of candidate stage-boundary configs: every
 	// source config of this search shares one micro-batch size (uniform
-	// mode) or the boundary offers the full candidate cross product
-	// (per-stage mode), so the list is computed once per search instead of
-	// allocated per DP state.
+	// mode) or the boundary offers every candidate size (per-stage mode),
+	// so the list is computed once per search instead of allocated per DP
+	// state.
 	boundary []schedule.Config
 }
 
 // freezeConfigs pre-interns every schedule config the search can reach, in
-// a deterministic order. In the uniform-schedule default every boundary
-// inherits the probe's root micro-batch size, so only (rootB × KCandidates)
-// is reachable; per-stage mode offers the full cross product, exactly as
-// the old lazy interner would have reached.
+// a deterministic order: the root micro-batch size, then in per-stage mode
+// every other candidate size. Stage-boundary candidates (§6) follow the
+// same rule: in the uniform default every boundary inherits the root size,
+// and per-stage mode offers every candidate (Figure 5's per-stage sizes).
 func (s *search) freezeConfigs(rootB int) {
-	intern := func(c schedule.Config) {
-		for _, fc := range s.cfgs {
-			if fc == c {
-				return
-			}
-		}
-		if len(s.cfgs) >= maxCfgIdx {
-			panic("core: too many distinct schedule configs")
-		}
-		s.cfgs = append(s.cfgs, c)
+	s.cfgs = []schedule.Config{{MicroBatch: rootB, K: 1}}
+	if !s.p.opts.PerStageMicroBatch {
+		s.boundary = s.cfgs
+		return
 	}
-	for _, k := range s.p.opts.KCandidates {
-		intern(schedule.Config{MicroBatch: rootB, K: k})
-	}
-	if s.p.opts.PerStageMicroBatch {
-		for _, b := range s.bCands {
-			for _, k := range s.p.opts.KCandidates {
-				intern(schedule.Config{MicroBatch: b, K: k})
-			}
-		}
-	}
-	// Stage-boundary candidates (§6): in the uniform default every boundary
-	// inherits the search's root micro-batch size, one candidate per kFkB
-	// choice; per-stage mode offers the full cross product (Figure 5's
-	// per-stage sizes). Either way the list is independent of the DP state,
-	// so it is built once here instead of per series split.
-	if s.p.opts.PerStageMicroBatch {
-		for _, b := range s.bCands {
-			for _, k := range s.p.opts.KCandidates {
-				s.boundary = append(s.boundary, schedule.Config{MicroBatch: b, K: k})
-			}
-		}
-	} else {
-		for _, k := range s.p.opts.KCandidates {
-			s.boundary = append(s.boundary, schedule.Config{MicroBatch: rootB, K: k})
+	for _, b := range s.bCands {
+		c := schedule.Config{MicroBatch: b, K: 1}
+		s.boundary = append(s.boundary, c)
+		if b != rootB {
+			s.cfgs = append(s.cfgs, c)
 		}
 	}
 }
 
 // configIdx resolves a schedule config to its frozen index by scanning the
-// (tiny: one per micro-batch × kFkB candidate) config list. makeKey calls
-// this for every DP state; a linear compare over at most a few structs
-// beats hashing the struct into a map, which used to be ~20% of the whole
-// search in profiles.
+// (tiny: one per micro-batch candidate) config list. makeKey calls this for
+// every DP state; a linear compare over at most a few structs beats
+// hashing the struct into a map, which used to be ~20% of the whole search
+// in profiles.
 func (s *search) configIdx(c schedule.Config) int {
 	for i, fc := range s.cfgs {
 		if fc == c {
@@ -584,48 +477,41 @@ const (
 
 // validateKeyRanges checks that every field makeKey packs fits its bit
 // width for this search. Zone and config counts are final here (resolveAll
-// has run; freezeConfigs interns only root × candidate configs, bounded by
-// the product below). In-flight counts are produced by
+// has run; freezeConfigs interns the root config plus at most one per
+// candidate, the count checked below). In-flight counts are produced by
 // schedule.ComputeInFlight, whose Table 2 recurrences add at most
-// k·b + 2·max(b) ≤ 3·maxK·maxB per stage over a pipeline of at most
-// topo.Len() stages, so 3·maxK·maxB·devices bounds every successor
-// in-flight value the DP can construct.
-func (p *Planner) validateKeyRanges(bCands []int) error {
+// b + 2·max(b) ≤ 3·maxB per 1F1B stage over a pipeline of at most
+// topo.Len() stages, so 3·maxB·devices bounds every successor in-flight
+// value the DP can construct.
+func (p *partitioner) validateKeyRanges(bCands []int) error {
 	if n := len(p.zones.sets); n-1 > maxZoneID {
 		return fmt.Errorf("core: %d series-parallel zones exceed the DP key's %d-zone limit", n, maxZoneID+1)
 	}
 	if d := p.topo.Len(); d > maxKeyDevs {
 		return fmt.Errorf("core: %d devices exceed the DP key's %d-device limit", d, maxKeyDevs)
 	}
-	nCfg := len(p.opts.KCandidates)
+	nCfg := 1
 	if p.opts.PerStageMicroBatch {
-		nCfg += len(bCands) * len(p.opts.KCandidates)
+		nCfg += len(bCands)
 	}
-	// freezeConfigs interns at most maxCfgIdx configs (one 6-bit index is
-	// reserved headroom for its own invariant panic).
 	if nCfg > maxCfgIdx {
 		return fmt.Errorf("core: %d schedule configs exceed the DP key's %d-config limit", nCfg, maxCfgIdx)
 	}
-	maxK, maxB := 1, 1
-	for _, k := range p.opts.KCandidates {
-		if k > maxK {
-			maxK = k
-		}
-	}
+	maxB := 1
 	for _, b := range bCands {
 		if b > maxB {
 			maxB = b
 		}
 	}
-	// Guard the factors before multiplying so the int64 product (each
-	// factor ≤ 2²², devices ≤ 2⁷) cannot itself overflow.
-	if maxK > maxKInFlight || maxB > maxKInFlight {
-		return fmt.Errorf("core: kFkB candidate %d / micro-batch candidate %d exceed the DP key's in-flight limit %d",
-			maxK, maxB, maxKInFlight)
+	// Guard the factor before multiplying so the int64 product (b ≤ 2²²,
+	// devices ≤ 2⁷) cannot itself overflow.
+	if maxB > maxKInFlight {
+		return fmt.Errorf("core: micro-batch candidate %d exceeds the DP key's in-flight limit %d",
+			maxB, maxKInFlight)
 	}
-	if bound := 3 * int64(maxK) * int64(maxB) * int64(p.topo.Len()); bound > maxKInFlight {
-		return fmt.Errorf("core: worst-case in-flight samples %d (3·k·b·devices with k=%d, b=%d) exceed the DP key's limit %d",
-			bound, maxK, maxB, maxKInFlight)
+	if bound := 3 * int64(maxB) * int64(p.topo.Len()); bound > maxKInFlight {
+		return fmt.Errorf("core: worst-case in-flight samples %d (3·b·devices with b=%d) exceed the DP key's limit %d",
+			bound, maxB, maxKInFlight)
 	}
 	return nil
 }
@@ -948,45 +834,11 @@ func (s *search) dpRoot(zoneID int, cf schedule.Config, cb *schedule.Successor, 
 	return best
 }
 
-// searchStageGraph is Algorithm 1's SearchStageGraph: try every candidate
-// global schedule configuration and keep the best feasible partition.
-func (s *search) searchStageGraph(root, b int) *dpResult {
-	var best *dpResult
-	for _, k := range s.p.opts.KCandidates {
-		cf := schedule.Config{MicroBatch: b, K: k}
-		r := s.dpRoot(root, cf, nil, s.p.topo.Len())
-		best = s.betterRoot(best, r)
-	}
-	return best
-}
-
 // iterationEstimate is the root solution's costmodel.IterationEstimate,
 // the synchronous-1F1B objective all three planners select their final
 // strategy by (see docs/ARCHITECTURE.md, "The cost model").
 func (r *dpResult) iterationEstimate(miniBatch int) float64 {
 	return costmodel.IterationEstimate(r.maxTPS, miniBatch, r.inFlight, r.srcCfg.MicroBatch)
-}
-
-// betterRoot is PickBetter at the root: feasibility, then the synchronous
-// iteration estimate, then lower memory.
-func (s *search) betterRoot(a, b *dpResult) *dpResult {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	sa, sb := a.iterationEstimate(s.miniBatch), b.iterationEstimate(s.miniBatch)
-	if sa != sb {
-		if sa < sb {
-			return a
-		}
-		return b
-	}
-	if a.maxMem <= b.maxMem {
-		return a
-	}
-	return b
 }
 
 // perB accumulates one candidate micro-batch size's search outcome. The
@@ -1001,8 +853,8 @@ type perB struct {
 }
 
 // newSearch constructs one micro-batch size's search state with its config
-// index frozen. Plan's fan-out and the snapshot round-trip tests share it.
-func (p *Planner) newSearch(b, miniBatch int, bCands []int, pool *workerPool) *search {
+// index frozen. plan's fan-out and the snapshot round-trip tests share it.
+func (p *partitioner) newSearch(b, miniBatch int, bCands []int, pool *workerPool) *search {
 	s := &search{
 		p:         p,
 		miniBatch: miniBatch,
@@ -1027,10 +879,14 @@ func (p *Planner) newSearch(b, miniBatch int, bCands []int, pool *workerPool) *s
 // interval on which they are valid, so a probe only re-solves states whose
 // interval does not cover its target (FreshProbeMemo restores the
 // reference one-memo-per-probe behavior).
-// A warm snapshot's matching SearchMemo, if compatible, seeds the memo
-// before the first probe: entries whose validity interval covers a probe's
-// target short-circuit exactly as this search's own earlier probes would.
-func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, maxTPS, eps float64, root int, pool *workerPool, snap *memosnap.Snapshot) {
+// A warm snapshot's matching SearchMemo, if compatible, backs the memo
+// from the first probe on: an imported entry whose validity interval
+// covers a probe's target short-circuits exactly as this search's own
+// earlier probes would.
+//
+// Each probe is Algorithm 1's SearchStageGraph with 1F1B as the one global
+// schedule: the root zone on every device under the root config.
+func (p *partitioner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, maxTPS, eps float64, root int, pool *workerPool, snap *memosnap.Snapshot) {
 	defer p.span("search.micro-batch", "b", strconv.Itoa(b))()
 	s := p.newSearch(b, miniBatch, bCands, pool)
 	out.search = s
@@ -1047,7 +903,7 @@ func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, ma
 			s.memo = newMemoTable(pool != nil)
 		}
 		s.tmax = tmax
-		r := s.searchStageGraph(root, b)
+		r := s.dpRoot(root, s.cfgs[0], nil, p.topo.Len())
 		out.states = int(s.states.Load()) // cumulative across probes
 		return r
 	}
@@ -1080,18 +936,18 @@ func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, ma
 	}
 }
 
-// Plan runs the full Algorithm 1: binary search over the bottleneck TPS
+// plan runs the full Algorithm 1: binary search over the bottleneck TPS
 // target with a probe-spanning DP memo (entries carry monotone validity
 // intervals, so later probes re-solve only the states their target
 // invalidates), then assembles, schedules, and validates the winning
 // strategy.
-func (p *Planner) Plan(miniBatch int) (*Result, error) {
+func (p *partitioner) plan(miniBatch int) (*strategy.Strategy, planner.Stats, error) {
 	if miniBatch <= 0 {
-		return nil, fmt.Errorf("core: invalid mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("core: invalid mini-batch %d", miniBatch)
 	}
 	bCands := planner.MicroBatchCandidates(miniBatch, p.opts.ForcedMicroBatch, p.opts.MaxMicroBatch)
 	if len(bCands) == 0 {
-		return nil, fmt.Errorf("core: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("core: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
 	}
 	workers := p.opts.Workers
 	if workers <= 0 {
@@ -1110,7 +966,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 	p.zones.resolveAll(root) // make the zone table read-only
 
 	if err := p.validateKeyRanges(bCands); err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
 
 	maxTPS := p.model.MaxTPS(p.g, miniBatch)
@@ -1173,25 +1029,24 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		}
 	}
 	if best == nil {
-		return nil, ErrNoStrategy
+		return nil, planner.Stats{}, errors.New("core: no valid strategy found")
 	}
 
 	st, err := p.assemble(best, miniBatch)
 	if err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
-	res := &Result{
-		Strategy:      st,
+	stats := planner.Stats{
 		BottleneckTPS: best.maxTPS,
 		DPStates:      states,
 		BinaryIters:   iters,
 	}
 	for i := range results {
 		if results[i].warmed {
-			res.MemoWarmStarted = true
+			stats.MemoWarmStarted = true
 		}
 		if s := results[i].search; s != nil {
-			res.MemoEntriesReused += int(s.memo.warmHits.Load())
+			stats.MemoEntriesReused += int(s.memo.warmHits.Load())
 		}
 	}
 	if p.opts.MemoSink != nil && !p.opts.FreshProbeMemo {
@@ -1204,7 +1059,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		p.opts.MemoSink(snapOut)
 		endSink()
 	}
-	return res, nil
+	return st, stats, nil
 }
 
 // devCount returns the total device count of the derivation subtree.
@@ -1232,52 +1087,30 @@ func assignStarts(r *dpResult, start int) {
 }
 
 // assemble turns a DP solution into a concrete, validated Strategy:
-// deterministic stage order, contiguous device assignment, final in-flight
-// counts recomputed by backward traversal of the stage graph (§6), and
-// per-stage task orders from the greedy scheduler.
-func (p *Planner) assemble(r *dpResult, miniBatch int) (*strategy.Strategy, error) {
+// deterministic stage order, each stage on the contiguous device block the
+// DP costed it against, final in-flight counts recomputed by backward
+// traversal of the stage graph (§6), and per-stage task orders from the
+// greedy scheduler.
+func (p *partitioner) assemble(r *dpResult, miniBatch int) (*strategy.Strategy, error) {
 	assignStarts(r, 0)
 	stages := r.collectStages(nil)
 	// Deterministic order: by the earliest topological position of any
-	// owned operator. This also keeps device allocation contiguous along
-	// the pipeline.
+	// owned operator.
 	sort.SliceStable(stages, func(i, j int) bool {
 		return minTopoPos(p.g, stages[i].ops) < minTopoPos(p.g, stages[j].ops)
 	})
 
 	st := &strategy.Strategy{Planner: "graphpipe", MiniBatch: miniBatch}
-	var groups [][]cluster.DeviceID
-	if !p.topo.Flat() {
-		// On a non-flat topology the DP costed each stage against one
-		// specific contiguous block, so the assembled strategy must use
-		// exactly those blocks. On flat topologies every same-size block
-		// is cost-identical and the allocator below keeps the artifacts
-		// planned before placement-aware costing byte for byte.
-		groups = make([][]cluster.DeviceID, len(stages))
-		for i, ds := range stages {
-			ids := make([]cluster.DeviceID, ds.devs)
-			for k := range ids {
-				ids[k] = cluster.DeviceID(ds.start + k)
-			}
-			groups[i] = ids
-		}
-	} else {
-		counts := make([]int, len(stages))
-		for i := range stages {
-			counts[i] = stages[i].devs
-		}
-		var err error
-		groups, err = cluster.PlaceStages(p.topo, counts)
-		if err != nil {
-			return nil, fmt.Errorf("core: device assignment: %w", err)
-		}
-	}
 	for i, ds := range stages {
+		devs := make([]cluster.DeviceID, ds.devs)
+		for k := range devs {
+			devs[k] = cluster.DeviceID(ds.start + k)
+		}
 		st.Stages = append(st.Stages, strategy.Stage{
 			ID:      strategy.StageID(i),
 			Ops:     ds.ops,
 			Config:  ds.cfg,
-			Devices: groups[i],
+			Devices: devs,
 		})
 	}
 	if err := st.BuildEdges(p.g); err != nil {

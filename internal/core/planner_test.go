@@ -1,50 +1,52 @@
 package core
 
 import (
-	"graphpipe/internal/sim"
 	"testing"
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
+	"graphpipe/internal/sim"
+	"graphpipe/internal/strategy"
 )
 
-func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts Options) *Result {
+// planOn plans g on topo through the registered planner.
+func planOn(t testing.TB, g *graph.Graph, topo *cluster.Topology, miniBatch int, opts planner.Options) (*strategy.Strategy, planner.Stats) {
 	t.Helper()
-	topo := cluster.NewSummitTopology(devices)
-	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(miniBatch)
+	st, stats, err := graphpipe{}.Plan(g, topo, miniBatch, opts)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	return r
+	return st, stats
+}
+
+func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts planner.Options) (*strategy.Strategy, planner.Stats) {
+	t.Helper()
+	return planOn(t, g, cluster.NewSummitTopology(devices), miniBatch, opts)
 }
 
 func TestPlanSequentialChain(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	r := planFor(t, g, 4, 32, Options{})
+	st, stats := planFor(t, g, 4, 32, planner.Options{})
 	topo := cluster.NewSummitTopology(4)
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("strategy invalid: %v", err)
 	}
-	if n := r.Strategy.NumStages(); n < 1 || n > 4 {
+	if n := st.NumStages(); n < 1 || n > 4 {
 		t.Errorf("stages = %d", n)
 	}
 	// A chain's stage graph is a chain: depth == number of stages.
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
-		t.Errorf("chain depth %d != stages %d", r.Strategy.Depth(), r.Strategy.NumStages())
+	if st.Depth() != st.NumStages() {
+		t.Errorf("chain depth %d != stages %d", st.Depth(), st.NumStages())
 	}
-	if r.BottleneckTPS <= 0 {
+	if stats.BottleneckTPS <= 0 {
 		t.Error("BottleneckTPS not recorded")
 	}
-	if r.DPStates == 0 || r.BinaryIters == 0 {
-		t.Errorf("search stats empty: %+v", r)
+	if stats.DPStates == 0 || stats.BinaryIters == 0 {
+		t.Errorf("search stats empty: %+v", stats)
 	}
 }
 
@@ -53,12 +55,11 @@ func TestPlanExploitsBranches(t *testing.T) {
 	cfg.Branches = 2
 	cfg.LayersPerBranch = 4
 	g := models.MMT(cfg)
-	r := planFor(t, g, 8, 32, Options{})
+	s, _ := planFor(t, g, 8, 32, planner.Options{})
 	topo := cluster.NewSummitTopology(8)
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := s.Validate(g, topo); err != nil {
 		t.Fatalf("strategy invalid: %v", err)
 	}
-	s := r.Strategy
 	// GPP must produce a stage graph shallower than its stage count when
 	// the model has parallel branches and more than a couple stages.
 	if s.NumStages() >= 4 && s.Depth() >= s.NumStages() {
@@ -69,9 +70,9 @@ func TestPlanExploitsBranches(t *testing.T) {
 func TestPlanUsesAllDevices(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	for _, devs := range []int{2, 4, 8} {
-		r := planFor(t, g, devs, 32, Options{})
+		s, _ := planFor(t, g, devs, 32, planner.Options{})
 		used := 0
-		for _, st := range r.Strategy.Stages {
+		for _, st := range s.Stages {
 			used += len(st.Devices)
 		}
 		if used != devs {
@@ -82,8 +83,8 @@ func TestPlanUsesAllDevices(t *testing.T) {
 
 func TestForcedMicroBatch(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	r := planFor(t, g, 4, 32, Options{ForcedMicroBatch: 2})
-	for _, st := range r.Strategy.Stages {
+	s, _ := planFor(t, g, 4, 32, planner.Options{ForcedMicroBatch: 2})
+	for _, st := range s.Stages {
 		if st.Config.MicroBatch != 2 {
 			t.Errorf("stage %d micro-batch = %d, want forced 2", st.ID, st.Config.MicroBatch)
 		}
@@ -93,12 +94,7 @@ func TestForcedMicroBatch(t *testing.T) {
 func TestForcedMicroBatchMustDivide(t *testing.T) {
 	g := models.SequentialTransformer(4)
 	topo := cluster.NewSummitTopology(4)
-	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{ForcedMicroBatch: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Plan(32); err == nil {
+	if _, _, err := (graphpipe{}).Plan(g, topo, 32, planner.Options{ForcedMicroBatch: 7}); err == nil {
 		t.Error("accepted non-dividing forced micro-batch")
 	}
 }
@@ -112,7 +108,7 @@ func TestPlanRejectsMultiSinkGraph(t *testing.T) {
 	b.Connect(x, z)
 	g := b.MustBuild()
 	topo := cluster.NewSummitTopology(2)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}); err == nil {
+	if _, err := newPartitioner(g, costmodel.NewDefault(topo), planner.Options{}); err == nil {
 		t.Error("planner accepted multi-sink graph")
 	}
 }
@@ -120,8 +116,7 @@ func TestPlanRejectsMultiSinkGraph(t *testing.T) {
 func TestPlanInvalidMiniBatch(t *testing.T) {
 	g := models.SequentialTransformer(4)
 	topo := cluster.NewSummitTopology(2)
-	p, _ := NewPlanner(g, costmodel.NewDefault(topo), Options{})
-	if _, err := p.Plan(0); err == nil {
+	if _, _, err := (graphpipe{}).Plan(g, topo, 0, planner.Options{}); err == nil {
 		t.Error("accepted zero mini-batch")
 	}
 }
@@ -130,11 +125,7 @@ func TestPlanInfeasibleMemory(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	// 1 MB per device: nothing fits.
 	topo := cluster.NewUniformTopology(4, 1e6, 100e9)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Plan(32); err == nil {
+	if _, _, err := (graphpipe{}).Plan(g, topo, 32, planner.Options{}); err == nil {
 		t.Error("planned a strategy that cannot fit memory")
 	}
 }
@@ -144,8 +135,7 @@ func TestPlanInFlightMatchesBackwardTraversal(t *testing.T) {
 	cfg.Branches = 2
 	cfg.LayersPerBranch = 4
 	g := models.MMT(cfg)
-	r := planFor(t, g, 8, 32, Options{})
-	s := r.Strategy
+	s, _ := planFor(t, g, 8, 32, planner.Options{})
 	// Recompute independently and compare.
 	order := s.TopoOrder()
 	want := make([]int, len(s.Stages))
@@ -166,15 +156,15 @@ func TestPlanInFlightMatchesBackwardTraversal(t *testing.T) {
 
 func TestDeeperPipelineNeedsMoreInFlight(t *testing.T) {
 	g := models.SequentialTransformer(16)
-	r2 := planFor(t, g, 2, 64, Options{ForcedMicroBatch: 4})
-	r8 := planFor(t, g, 8, 64, Options{ForcedMicroBatch: 4})
-	if r8.Strategy.NumStages() <= r2.Strategy.NumStages() {
+	s2, _ := planFor(t, g, 2, 64, planner.Options{ForcedMicroBatch: 4})
+	s8, _ := planFor(t, g, 8, 64, planner.Options{ForcedMicroBatch: 4})
+	if s8.NumStages() <= s2.NumStages() {
 		t.Skipf("planner did not deepen pipeline: %d vs %d stages",
-			r8.Strategy.NumStages(), r2.Strategy.NumStages())
+			s8.NumStages(), s2.NumStages())
 	}
-	if r8.Strategy.MaxInFlightSamples() <= r2.Strategy.MaxInFlightSamples() {
+	if s8.MaxInFlightSamples() <= s2.MaxInFlightSamples() {
 		t.Errorf("deeper pipeline should hold more samples: %d (8dev) vs %d (2dev)",
-			r8.Strategy.MaxInFlightSamples(), r2.Strategy.MaxInFlightSamples())
+			s8.MaxInFlightSamples(), s2.MaxInFlightSamples())
 	}
 }
 
@@ -182,12 +172,12 @@ func TestBottleneckTPSDecreasesWithDevices(t *testing.T) {
 	g := models.SequentialTransformer(16)
 	prev := -1.0
 	for _, devs := range []int{2, 4, 8} {
-		r := planFor(t, g, devs, 64, Options{})
-		if prev > 0 && r.BottleneckTPS > prev*1.05 {
+		_, stats := planFor(t, g, devs, 64, planner.Options{})
+		if prev > 0 && stats.BottleneckTPS > prev*1.05 {
 			t.Errorf("devices=%d: bottleneck TPS %g worse than with fewer devices %g",
-				devs, r.BottleneckTPS, prev)
+				devs, stats.BottleneckTPS, prev)
 		}
-		prev = r.BottleneckTPS
+		prev = stats.BottleneckTPS
 	}
 }
 
@@ -210,20 +200,13 @@ func TestPerStageMicroBatchSearch(t *testing.T) {
 
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{PerStageMicroBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	st, _ := planOn(t, g, topo, 64, planner.Options{PerStageMicroBatch: true, CostModel: m})
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("per-stage strategy invalid: %v", err)
 	}
 	// The strategy must simulate correctly even with mixed micro-batch
 	// sizes (sample-range alignment).
-	if _, err := sim.New(g, m).Run(r.Strategy); err != nil {
+	if _, err := sim.New(g, m).Run(st); err != nil {
 		t.Fatalf("mixed micro-batch simulation failed: %v", err)
 	}
 }
@@ -237,28 +220,14 @@ func TestPerStageMicroBatchAtLeastAsGoodOnFig5Shape(t *testing.T) {
 	m := costmodel.NewDefault(topo)
 	sm := sim.New(g, m)
 
-	uni, err := NewPlanner(g, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := uni.Plan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resU, err := sm.Run(ru.Strategy)
+	su, _ := planOn(t, g, topo, 32, planner.Options{CostModel: m})
+	resU, err := sm.Run(su)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	per, err := NewPlanner(g, m, Options{PerStageMicroBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := per.Plan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resP, err := sm.Run(rp.Strategy)
+	sp, _ := planOn(t, g, topo, 32, planner.Options{PerStageMicroBatch: true, CostModel: m})
+	resP, err := sm.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,23 +264,16 @@ func TestPlanHandlesNonSPGraph(t *testing.T) {
 
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	st, _ := planOn(t, g, topo, 32, planner.Options{CostModel: m})
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("non-SP strategy invalid: %v", err)
 	}
-	if _, err := sim.New(g, m).Run(r.Strategy); err != nil {
+	if _, err := sim.New(g, m).Run(st); err != nil {
 		t.Fatalf("non-SP strategy does not simulate: %v", err)
 	}
 	// The fallback must allow pipelining across the crossing region at 4
 	// devices (more than one stage).
-	if r.Strategy.NumStages() < 2 {
+	if st.NumStages() < 2 {
 		t.Errorf("non-SP fallback produced a single stage on 4 devices")
 	}
 }
@@ -331,24 +293,19 @@ func TestPlannerZooIntegration(t *testing.T) {
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
 	for _, g := range graphs {
-		p, err := NewPlanner(g, m, Options{})
+		st, _, err := graphpipe{}.Plan(g, topo, 32, planner.Options{CostModel: m})
 		if err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 			continue
 		}
-		r, err := p.Plan(32)
-		if err != nil {
-			t.Errorf("%s: %v", g.Name(), err)
-			continue
-		}
-		if err := r.Strategy.Validate(g, topo); err != nil {
+		if err := st.Validate(g, topo); err != nil {
 			t.Errorf("%s: invalid strategy: %v", g.Name(), err)
 			continue
 		}
-		if r.Strategy.Depth() > r.Strategy.NumStages() {
-			t.Errorf("%s: depth %d > stages %d", g.Name(), r.Strategy.Depth(), r.Strategy.NumStages())
+		if st.Depth() > st.NumStages() {
+			t.Errorf("%s: depth %d > stages %d", g.Name(), st.Depth(), st.NumStages())
 		}
-		res, err := sim.New(g, m).Run(r.Strategy)
+		res, err := sim.New(g, m).Run(st)
 		if err != nil {
 			t.Errorf("%s: sim: %v", g.Name(), err)
 			continue

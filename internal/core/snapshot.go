@@ -10,6 +10,7 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
 )
 
@@ -37,7 +38,7 @@ import (
 // are simply never queried.
 
 // snapshotKey computes this planning question's compatibility identity.
-func (p *Planner) snapshotKey() memosnap.Key {
+func (p *partitioner) snapshotKey() memosnap.Key {
 	return memosnap.Key{
 		GraphHash: p.g.CanonicalHash(),
 		ShapeSig:  p.shapeSig(),
@@ -49,12 +50,17 @@ func (p *Planner) snapshotKey() memosnap.Key {
 // keys pack: candidate sets and split rules. The binary-search tolerance
 // and Workers are deliberately excluded — the validity intervals make
 // entries correct for any target, and the worker count never changes a
-// value (both pinned by the determinism conformance invariant).
-func (p *Planner) shapeSig() uint64 {
+// value (both pinned by the determinism conformance invariant). The
+// micro-batch cap is hashed as the search applies it, so leaving it unset
+// and spelling out the default share a key.
+func (p *partitioner) shapeSig() uint64 {
+	maxMB := p.opts.MaxMicroBatch
+	if maxMB == 0 {
+		maxMB = planner.DefaultMaxMicroBatch
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "shape4\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\n",
-		p.opts.MaxMicroBatch, p.opts.KCandidates,
-		p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits)
+	fmt.Fprintf(h, "shape5\nmaxmb=%d\nforced=%d\nperstage=%t\nnoanchor=%t\n",
+		maxMB, p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits)
 	return h.Sum64()
 }
 
@@ -67,7 +73,7 @@ func (p *Planner) shapeSig() uint64 {
 // at least one probe output and the signatures diverge. The conformance
 // warm≡cold invariant is the backstop for cost models whose behavior a
 // whole-graph probe cannot distinguish.
-func (p *Planner) costSig() uint64 {
+func (p *partitioner) costSig() uint64 {
 	h := fnv.New64a()
 	// The canonical topology spec pins every placement-aware cost input:
 	// device classes, level bandwidths (down and up), and the class
@@ -122,7 +128,7 @@ func (p *Planner) costSig() uint64 {
 // planner, as soon as it is exported: its memo is garbage while the later
 // searches export and while the sink merges, so the planner's memo and the
 // new snapshot are never both fully live.
-func (p *Planner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
+func (p *partitioner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
 	snap := &memosnap.Snapshot{Key: key}
 	for i := range results {
 		if s := results[i].search; s != nil {
@@ -146,7 +152,7 @@ func snapConfigs(cs []schedule.Config) []memosnap.Config {
 	return out
 }
 
-func (p *Planner) exportSearch(s *search) memosnap.SearchMemo {
+func (p *partitioner) exportSearch(s *search) memosnap.SearchMemo {
 	sm := memosnap.SearchMemo{
 		MiniBatch: int32(s.miniBatch),
 		RootB:     int32(s.rootB),

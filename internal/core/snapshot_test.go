@@ -30,48 +30,43 @@ func planBytes(t *testing.T, st *strategy.Strategy, devices, mb int) []byte {
 	return data
 }
 
+// outcome is one summit plan with its search statistics.
+type outcome struct {
+	st *strategy.Strategy
+	planner.Stats
+}
+
+func planOutcome(t *testing.T, g *graph.Graph, devices, mb int, opts planner.Options) outcome {
+	t.Helper()
+	st, stats := planFor(t, g, devices, mb, opts)
+	return outcome{st, stats}
+}
+
 // coldSnapshot plans cold with a sink attached and returns both.
-func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (*Result, *memosnap.Snapshot) {
+func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (outcome, *memosnap.Snapshot) {
 	t.Helper()
 	var snap *memosnap.Snapshot
-	topo := cluster.NewSummitTopology(devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	r := planOutcome(t, g, devices, mb, planner.Options{
 		Workers:  1,
 		MemoSink: func(s *memosnap.Snapshot) { snap = s },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(mb)
-	if err != nil {
-		t.Fatalf("cold plan: %v", err)
-	}
 	if snap == nil {
 		t.Fatal("MemoSink never called")
 	}
 	return r, snap
 }
 
-func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snapshot) *Result {
+func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snapshot) outcome {
 	t.Helper()
 	return warmPlanWorkers(t, g, devices, mb, 1, snap)
 }
 
-func warmPlanWorkers(t *testing.T, g *graph.Graph, devices, mb, workers int, snap *memosnap.Snapshot) *Result {
+func warmPlanWorkers(t *testing.T, g *graph.Graph, devices, mb, workers int, snap *memosnap.Snapshot) outcome {
 	t.Helper()
-	topo := cluster.NewSummitTopology(devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	return planOutcome(t, g, devices, mb, planner.Options{
 		Workers:  workers,
 		WarmMemo: func(k memosnap.Key) *memosnap.Snapshot { return snap },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(mb)
-	if err != nil {
-		t.Fatalf("warm plan: %v", err)
-	}
-	return r
 }
 
 // TestWarmColdEquivalence is the core property the whole feature hangs
@@ -96,7 +91,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 	// Same request replayed warm: the root entries cover the whole probe
 	// sequence, so nearly everything is reused.
 	warm := warmPlan(t, g, devs, mb, snap)
-	if !bytes.Equal(planBytes(t, warm.Strategy, devs, mb), planBytes(t, cold.Strategy, devs, mb)) {
+	if !bytes.Equal(planBytes(t, warm.st, devs, mb), planBytes(t, cold.st, devs, mb)) {
 		t.Error("warm replay of the same request diverged from cold")
 	}
 	if !warm.MemoWarmStarted || warm.MemoEntriesReused == 0 {
@@ -112,7 +107,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 	// its own degree, and the larger snapshot carries them. Going up (2→4,
 	// 4→8), the larger search also queries placement classes the exporter
 	// lacked; the classes both sizes have keep their ids.
-	colds := map[int]*Result{devs: cold}
+	colds := map[int]outcome{devs: cold}
 	snaps := map[int]*memosnap.Snapshot{devs: snap}
 	for _, d := range []int{devs / 2, 2 * devs} {
 		colds[d], snaps[d] = coldSnapshot(t, g, d, mb)
@@ -122,7 +117,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 	} {
 		coldTo := colds[c.to]
 		warmTo := warmPlan(t, g, c.to, mb, snaps[c.from])
-		if !bytes.Equal(planBytes(t, warmTo.Strategy, c.to, mb), planBytes(t, coldTo.Strategy, c.to, mb)) {
+		if !bytes.Equal(planBytes(t, warmTo.st, c.to, mb), planBytes(t, coldTo.st, c.to, mb)) {
 			t.Errorf("warm elastic replan %d→%d diverged from cold", c.from, c.to)
 		}
 		if !warmTo.MemoWarmStarted || warmTo.MemoEntriesReused == 0 {
@@ -139,7 +134,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 	// and still agree with a genuinely cold plan.
 	coldMB, _ := coldSnapshot(t, g, devs, 2*mb)
 	warmMB := warmPlan(t, g, devs, 2*mb, snap)
-	if !bytes.Equal(planBytes(t, warmMB.Strategy, devs, 2*mb), planBytes(t, coldMB.Strategy, devs, 2*mb)) {
+	if !bytes.Equal(planBytes(t, warmMB.st, devs, 2*mb), planBytes(t, coldMB.st, devs, 2*mb)) {
 		t.Error("warm plan at doubled mini-batch diverged from cold")
 	}
 	if warmMB.MemoWarmStarted {
@@ -159,7 +154,7 @@ func TestWarmParallelFromLargerSnapshot(t *testing.T) {
 	_, snap := coldSnapshot(t, g, 16, mb)
 	cold, _ := coldSnapshot(t, g, 8, mb)
 	warm := warmPlanWorkers(t, g, 8, mb, 4, snap)
-	if !bytes.Equal(planBytes(t, warm.Strategy, 8, mb), planBytes(t, cold.Strategy, 8, mb)) {
+	if !bytes.Equal(planBytes(t, warm.st, 8, mb), planBytes(t, cold.st, 8, mb)) {
 		t.Error("parallel warm replan 16→8 diverged from the cold plan")
 	}
 	if !warm.MemoWarmStarted || warm.MemoEntriesReused == 0 {
@@ -176,7 +171,7 @@ func TestWarmImportIsLazy(t *testing.T) {
 	const mb = 64
 	_, snap := coldSnapshot(t, g, 8, mb)
 
-	p, err := NewPlanner(g, costmodel.NewDefault(cluster.NewSummitTopology(4)), Options{Workers: 1})
+	p, err := newPartitioner(g, costmodel.NewDefault(cluster.NewSummitTopology(4)), planner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +317,7 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 	// planner: each export must be empty (the exporter emits only computed
 	// entries), and merging the empty exports into the accumulated
 	// snapshot must leave its bytes untouched.
-	p2, err := NewPlanner(g, costmodel.NewDefault(topo), Options{Workers: 1})
+	p2, err := newPartitioner(g, costmodel.NewDefault(topo), planner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +348,7 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
 	const devs, mb = 4, 64
 	cold, snap := coldSnapshot(t, g, devs, mb)
-	coldBytes := planBytes(t, cold.Strategy, devs, mb)
+	coldBytes := planBytes(t, cold.st, devs, mb)
 
 	check := func(name string, snap *memosnap.Snapshot) {
 		t.Helper()
@@ -361,7 +356,7 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 		if r.MemoWarmStarted || r.MemoEntriesReused != 0 {
 			t.Errorf("%s: imported anyway: %+v", name, r)
 		}
-		if !bytes.Equal(planBytes(t, r.Strategy, devs, mb), coldBytes) {
+		if !bytes.Equal(planBytes(t, r.st, devs, mb), coldBytes) {
 			t.Errorf("%s: degraded plan diverged from cold", name)
 		}
 	}
@@ -404,9 +399,8 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 
 	// FreshProbeMemo is the reference path: it neither imports nor
 	// exports, even with both hooks set.
-	topo := cluster.NewSummitTopology(devs)
 	sinkCalled := false
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	st, _ := planFor(t, g, devs, mb, planner.Options{
 		Workers:        1,
 		FreshProbeMemo: true,
 		WarmMemo: func(memosnap.Key) *memosnap.Snapshot {
@@ -415,17 +409,10 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 		},
 		MemoSink: func(*memosnap.Snapshot) { sinkCalled = true },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sinkCalled {
 		t.Error("FreshProbeMemo exported a snapshot")
 	}
-	if !bytes.Equal(planBytes(t, r.Strategy, devs, mb), coldBytes) {
+	if !bytes.Equal(planBytes(t, st, devs, mb), coldBytes) {
 		t.Error("FreshProbeMemo plan diverged")
 	}
 }
@@ -439,7 +426,7 @@ func TestMemoSinkSpan(t *testing.T) {
 	for _, withSink := range []bool{true, false} {
 		var mu sync.Mutex
 		open, done := map[string]int{}, map[string]int{}
-		opts := Options{
+		opts := planner.Options{
 			Workers: 1,
 			Span: func(name string, _ ...string) func() {
 				mu.Lock()
@@ -461,14 +448,7 @@ func TestMemoSinkSpan(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		topo := cluster.NewSummitTopology(devs)
-		p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Plan(mb); err != nil {
-			t.Fatal(err)
-		}
+		planFor(t, g, devs, mb, opts)
 		want := 0
 		if withSink {
 			want = 1
@@ -490,37 +470,44 @@ func TestMemoSinkSpan(t *testing.T) {
 // tracks: structural options and cost observables change it, the device
 // count on the summit preset does not (that is what makes elastic replans
 // warm, across node boundaries too), and a different topology at the same
-// device count does.
+// device count does. The micro-batch cap counts as the search applies it:
+// leaving it unset and spelling out the default share a key.
 func TestSnapshotKeySensitivity(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
-	keyOn := func(topo *cluster.Topology, opts Options) memosnap.Key {
-		p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
+	keyOn := func(topo *cluster.Topology, opts planner.Options) memosnap.Key {
+		p, err := newPartitioner(g, costmodel.NewDefault(topo), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p.snapshotKey()
 	}
-	keyFor := func(devices int, opts Options) memosnap.Key {
+	keyFor := func(devices int, opts planner.Options) memosnap.Key {
 		return keyOn(cluster.NewSummitTopology(devices), opts)
 	}
-	base := keyFor(4, Options{})
+	base := keyFor(4, planner.Options{})
 	for _, devices := range []int{2, 8, 16} {
-		if k := keyFor(devices, Options{}); k != base {
+		if k := keyFor(devices, planner.Options{}); k != base {
 			t.Errorf("summit device count %d changed the key: %+v vs %+v", devices, k, base)
 		}
 	}
-	if k := keyOn(cluster.NewUniformTopology(4, 16e9, 150e9), Options{}); k.CostSig == base.CostSig {
+	if k := keyOn(cluster.NewUniformTopology(4, 16e9, 150e9), planner.Options{}); k.CostSig == base.CostSig {
 		t.Error("a non-summit topology at the same device count kept the cost signature")
 	}
-	if k := keyFor(4, Options{DisableSinkAnchoredSplits: true}); k.ShapeSig == base.ShapeSig {
+	if k := keyFor(4, planner.Options{DisableSinkAnchoredSplits: true}); k.ShapeSig == base.ShapeSig {
 		t.Error("split-rule change kept the shape signature")
 	}
-	if k := keyFor(4, Options{ForcedMicroBatch: 8}); k.ShapeSig == base.ShapeSig {
+	if k := keyFor(4, planner.Options{ForcedMicroBatch: 8}); k.ShapeSig == base.ShapeSig {
 		t.Error("forced micro-batch kept the shape signature")
+	}
+	if k := keyFor(4, planner.Options{MaxMicroBatch: planner.DefaultMaxMicroBatch}); k != base {
+		t.Errorf("the default micro-batch cap spelled out changed the key: %+v vs %+v", k, base)
+	}
+	if k := keyFor(4, planner.Options{MaxMicroBatch: 64}); k.ShapeSig == base.ShapeSig {
+		t.Error("a lower micro-batch cap kept the shape signature")
 	}
 	g2 := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
-	p2, err := NewPlanner(g2, costmodel.NewDefault(topo), Options{})
+	p2, err := newPartitioner(g2, costmodel.NewDefault(topo), planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 )
 
 // TestRunAllSystemsSmall exercises the harness end to end on a small model.
@@ -49,7 +50,7 @@ func TestFormatters(t *testing.T) {
 
 func TestPiperExplosionSurfacesAsFailure(t *testing.T) {
 	g := models.DLRM(models.DefaultDLRMConfig())
-	o := Run(Piper, g, 4, 64, RunOptions{PiperBudget: 10_000})
+	o := Run(Piper, g, 4, 64, RunOptions{Planner: planner.Options{StateBudget: 10_000}})
 	if !o.Failed || !IsExplosion(o) {
 		t.Errorf("DLRM should explode Piper: %+v", o)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/synth"
 	"graphpipe/internal/trace"
 )
@@ -84,7 +85,7 @@ func Fig6(model string, systems []System) (*Fig6Result, error) {
 			// indicate that no training strategy can be found within
 			// reasonable timeframes".
 			jobs = append(jobs, Job{System: sys, Graph: g, Devices: devs, MiniBatch: mb,
-				Opts: RunOptions{PiperTimeout: 90 * time.Second}})
+				Opts: RunOptions{Planner: planner.Options{Timeout: 90 * time.Second}}})
 		}
 	}
 	for i, o := range RunGrid(jobs) {

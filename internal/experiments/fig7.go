@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/trace"
 )
 
@@ -101,7 +102,7 @@ func Fig7MicroBatch(sizes []int) ([]Fig7MicroBatchRow, error) {
 		rows = append(rows, Fig7MicroBatchRow{MicroBatch: b, Outcomes: map[System]Outcome{}})
 		for _, sys := range systems {
 			jobs = append(jobs, Job{System: sys, Graph: g, Devices: devices, MiniBatch: miniBatch,
-				Opts: RunOptions{ForcedMicroBatch: b}})
+				Opts: RunOptions{Planner: planner.Options{ForcedMicroBatch: b}}})
 		}
 	}
 	for i, o := range RunGrid(jobs) {

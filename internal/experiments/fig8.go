@@ -56,7 +56,7 @@ func CaseStudy(miniBatch int) (*CaseStudyResult, error) {
 	// Ablated arm: GraphPipe at SPP's micro-batch size isolates the
 	// concurrent-branch (depth) gain from the micro-batch (compute
 	// efficiency) gain.
-	parallel := Run(GraphPipe, g, devices, miniBatch, RunOptions{ForcedMicroBatch: res.SPPMicroBatch})
+	parallel := Run(GraphPipe, g, devices, miniBatch, RunOptions{Planner: planner.Options{ForcedMicroBatch: res.SPPMicroBatch}})
 	if !parallel.Failed {
 		res.ParallelOnlySpeedup = parallel.Throughput / res.SPP.Throughput
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"graphpipe/internal/models"
 
+	"graphpipe/internal/planner"
 	"graphpipe/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func Fig9() ([]Fig9Row, error) {
 	for i := range rows {
 		arms = append(arms, Job{System: GraphPipe, Graph: jobs[2*i].Graph,
 			Devices: devices, MiniBatch: jobs[2*i].MiniBatch,
-			Opts: RunOptions{ForcedMicroBatch: rows[i].SPP.MicroBatch}})
+			Opts: RunOptions{Planner: planner.Options{ForcedMicroBatch: rows[i].SPP.MicroBatch}}})
 	}
 	for i, o := range RunGrid(arms) {
 		rows[i].Parallel = o

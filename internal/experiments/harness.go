@@ -68,32 +68,12 @@ type RunOptions struct {
 	// (default "sim"). Every measurement is reproducible on any backend:
 	// the parity tests pin that the backends agree.
 	Backend string
-	// ForcedMicroBatch fixes the micro-batch size for every system
-	// (Figure 7 right, Figure 9's "Parallel" arm).
-	ForcedMicroBatch int
-	// DisableSinkAnchoredSplits removes GraphPipe's merge-anchored
-	// partitions (§7.5) for the ablation benchmarks.
-	DisableSinkAnchoredSplits bool
-	// Workers bounds the planner's internal worker pool (0: planner
-	// default of one per CPU). RunGrid forces unset values to 1 so a
-	// grid already one-job-per-CPU wide does not nest a second
-	// CPU-wide pool inside every job.
-	Workers int
-	// PiperBudget overrides the Piper state budget.
-	PiperBudget int
-	// PiperTimeout overrides the Piper wall-clock bound.
-	PiperTimeout time.Duration
-}
-
-// plannerOptions maps harness options onto the shared planner options.
-func (o RunOptions) plannerOptions() planner.Options {
-	return planner.Options{
-		ForcedMicroBatch:          o.ForcedMicroBatch,
-		DisableSinkAnchoredSplits: o.DisableSinkAnchoredSplits,
-		Workers:                   o.Workers,
-		StateBudget:               o.PiperBudget,
-		Timeout:                   o.PiperTimeout,
-	}
+	// Planner is handed to the planner as is (Figure 7 right and Figure
+	// 9's "Parallel" arm set ForcedMicroBatch, the ablation benchmarks
+	// DisableSinkAnchoredSplits, Table 1 Piper's Timeout). RunGrid sets
+	// an unset Workers to 1 so a grid already one-job-per-CPU wide does
+	// not nest a second CPU-wide pool inside every job.
+	Planner planner.Options
 }
 
 // Run resolves the system through the planner registry and the evaluation
@@ -124,7 +104,7 @@ func Run(sys System, g *graph.Graph, devices, miniBatch int, opts RunOptions) Ou
 		return out
 	}
 	start := time.Now()
-	st, _, err := pl.Plan(g, topo, miniBatch, opts.plannerOptions())
+	st, _, err := pl.Plan(g, topo, miniBatch, opts.Planner)
 	out.SearchTime = time.Since(start)
 	if err != nil {
 		out.Err = err
@@ -162,7 +142,7 @@ type Job struct {
 // outcomes in job order — result ordering is deterministic regardless of
 // which job finishes first, so CSV rows never shuffle between runs.
 //
-// Jobs that do not pin Opts.Workers plan single-threaded: the grid itself
+// Jobs that do not pin Opts.Planner.Workers plan single-threaded: the grid itself
 // saturates the CPUs, and nesting a CPU-wide pool inside every cell would
 // oversubscribe the machine quadratically. This also keeps per-cell
 // SearchTime measurements comparable across systems — every planner runs
@@ -173,8 +153,8 @@ func RunGrid(jobs []Job) []Outcome {
 	out := make([]Outcome, len(jobs))
 	run := func(i int) {
 		j := jobs[i]
-		if j.Opts.Workers == 0 {
-			j.Opts.Workers = 1
+		if j.Opts.Planner.Workers == 0 {
+			j.Opts.Planner.Workers = 1
 		}
 		out[i] = Run(j.System, j.Graph, j.Devices, j.MiniBatch, j.Opts)
 	}

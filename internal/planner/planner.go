@@ -99,7 +99,8 @@ func MicroBatchCandidates(miniBatch, forced, limit int) []int {
 		limit = DefaultMaxMicroBatch
 	}
 	var out []int
-	for b := 1; b <= miniBatch && b <= limit; b *= 2 {
+	// b > 0 ends the doubling where it would overflow, past 2^62.
+	for b := 1; b > 0 && b <= miniBatch && b <= limit; b *= 2 {
 		if miniBatch%b == 0 {
 			out = append(out, b)
 		}
@@ -129,7 +130,8 @@ type Stats struct {
 	// between runs: concurrent workers may evaluate a memoized subproblem
 	// twice before the first result lands.
 	DPStates int
-	// BinaryIters counts binary-search iterations (graphpipe only).
+	// BinaryIters is the largest number of binary-search iterations any
+	// one micro-batch search made (graphpipe only).
 	BinaryIters int
 	// MemoWarmStarted reports that the search imported a compatible
 	// prior memo snapshot (Options.WarmMemo).

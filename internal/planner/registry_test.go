@@ -70,6 +70,11 @@ func TestMicroBatchCandidates(t *testing.T) {
 			t.Errorf("MicroBatchCandidates(%d, %d, %d) = %v, want %v", c.mini, c.forced, c.limit, got, c.want)
 		}
 	}
+	// The doubling stops at 2^62, the largest power of two an int holds,
+	// instead of overflowing.
+	if got := planner.MicroBatchCandidates(1<<62, 0, 1<<62); len(got) != 63 || got[0] != 1<<62 || got[62] != 1 {
+		t.Errorf("MicroBatchCandidates(2^62, 0, 2^62) = %v, want the 63 powers of two from 2^62 down to 1", got)
+	}
 }
 
 // TestRegisterDuplicatePanics pins the fail-loudly contract.

@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
 	"graphpipe/internal/sim"
 	"graphpipe/internal/strategy"
+
+	_ "graphpipe/internal/planner/all" // register the planners
 )
 
 // planned returns a GraphPipe strategy for the model plus the shared cost
@@ -23,15 +25,15 @@ func planned(t testing.TB, g *graph.Graph, devices, mini int) (*strategy.Strateg
 	t.Helper()
 	topo := cluster.NewSummitTopology(devices)
 	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
+	pl, err := planner.Get("graphpipe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(mini)
+	st, _, err := pl.Plan(g, topo, mini, planner.Options{CostModel: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Strategy, m
+	return st, m
 }
 
 func TestRuntimeMatchesSimulatorChain(t *testing.T) {

@@ -104,23 +104,3 @@ func ComputeInFlight(cur Config, succs []Successor) int {
 	}
 	return max
 }
-
-// OptimizeK selects the k for the current stage that minimizes the in-flight
-// sample count over the candidate set ks (Appendix A.1's argmin). It returns
-// the chosen config and the resulting in-flight count. Ties prefer smaller
-// k, which keeps schedules closer to 1F1B.
-func OptimizeK(microBatch int, ks []int, succs []Successor) (Config, int) {
-	bestCfg := Config{MicroBatch: microBatch, K: 1}
-	bestIF := -1
-	for _, k := range ks {
-		cfg := Config{MicroBatch: microBatch, K: k}
-		ifl := ComputeInFlight(cfg, succs)
-		if bestIF < 0 || ifl < bestIF {
-			bestCfg, bestIF = cfg, ifl
-		}
-	}
-	if bestIF < 0 {
-		bestIF = ComputeInFlight(bestCfg, succs)
-	}
-	return bestCfg, bestIF
-}

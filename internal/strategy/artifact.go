@@ -67,7 +67,8 @@ type PlannerMeta struct {
 	SearchSeconds float64 `json:"search_seconds,omitempty"`
 	// DPStates counts dynamic-programming subproblems explored.
 	DPStates int `json:"dp_states,omitempty"`
-	// BinaryIters counts binary-search iterations (graphpipe only).
+	// BinaryIters is the largest number of binary-search iterations any
+	// one micro-batch search made (graphpipe only).
 	BinaryIters int `json:"binary_iters,omitempty"`
 	// WarmStarted records that the search imported a prior DP memo
 	// snapshot. Provenance only: a warm-started plan is byte-identical

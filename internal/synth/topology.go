@@ -25,10 +25,9 @@ import (
 //	hetero-memory flat links, a base and a large-memory device class
 //	hierarchical  three link tiers with asymmetric up/down bandwidth
 //
-// The flat families (uniform, hetero-speed, hetero-memory) satisfy
-// cluster.Topology.Flat() only when they are also homogeneous, i.e. just
-// uniform: the planner's placement dimension is live on every other
-// family.
+// Of the flat-link families (uniform, hetero-speed, hetero-memory) only
+// uniform is also homogeneous, with every same-size device block costing
+// alike: the planner's placement dimension is live on every other family.
 
 // Baseline per-device capabilities the families perturb: V100-class
 // numbers matching the summit preset, so a uniform synth topology is in

@@ -6,33 +6,24 @@ import (
 	"testing"
 
 	"graphpipe/internal/cluster"
-	"graphpipe/internal/core"
-	"graphpipe/internal/costmodel"
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
+	"graphpipe/internal/strategy"
 
 	_ "graphpipe/internal/eval/all"
+	_ "graphpipe/internal/planner/all"
 )
 
 func TestGanttAndSummary(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	topo := cluster.NewSummitTopology(4)
-	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := evaluated(t, g, topo, m, r)
+	st, res := plannedAndEvaluated(t, g, cluster.NewSummitTopology(4), 32)
 
-	gantt := Gantt(r.Strategy, res, 80)
+	gantt := Gantt(st, res, 80)
 	lines := strings.Split(strings.TrimRight(gantt, "\n"), "\n")
-	if len(lines) != r.Strategy.NumStages()+1 {
-		t.Errorf("gantt rows = %d, want %d stages + axis", len(lines), r.Strategy.NumStages())
+	if len(lines) != st.NumStages()+1 {
+		t.Errorf("gantt rows = %d, want %d stages + axis", len(lines), st.NumStages())
 	}
 	if !strings.Contains(gantt, "F") {
 		t.Error("gantt missing forward marks")
@@ -41,7 +32,7 @@ func TestGanttAndSummary(t *testing.T) {
 		t.Error("gantt missing backward marks")
 	}
 
-	sum := Summary(r.Strategy, res)
+	sum := Summary(st, res)
 	for _, want := range []string{"graphpipe", "stages", "depth", "throughput"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q: %s", want, sum)
@@ -78,18 +69,8 @@ func TestCSV(t *testing.T) {
 
 func TestChromeTrace(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	topo := cluster.NewSummitTopology(4)
-	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Plan(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := evaluated(t, g, topo, m, r)
-	data, err := ChromeTrace(r.Strategy, res)
+	st, res := plannedAndEvaluated(t, g, cluster.NewSummitTopology(4), 32)
+	data, err := ChromeTrace(st, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +79,7 @@ func TestChromeTrace(t *testing.T) {
 		t.Fatalf("chrome trace not valid JSON: %v", err)
 	}
 	// Metadata per stage + one event per task.
-	want := r.Strategy.NumStages() + len(res.Timeline)
+	want := st.NumStages() + len(res.Timeline)
 	if len(events) != want {
 		t.Errorf("events = %d, want %d", len(events), want)
 	}
@@ -119,16 +100,25 @@ func TestChromeTrace(t *testing.T) {
 	}
 }
 
-// evaluated runs one iteration through the registered sim backend.
-func evaluated(t *testing.T, g *graph.Graph, topo *cluster.Topology, m costmodel.Model, r *core.Result) *eval.Report {
+// plannedAndEvaluated plans g with the registered GraphPipe planner and
+// runs one iteration through the registered sim backend.
+func plannedAndEvaluated(t *testing.T, g *graph.Graph, topo *cluster.Topology, miniBatch int) (*strategy.Strategy, *eval.Report) {
 	t.Helper()
+	pl, err := planner.Get("graphpipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := pl.Plan(g, topo, miniBatch, planner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev, err := eval.Get("sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ev.Evaluate(g, topo, r.Strategy, eval.Options{CostModel: m})
+	rep, err := ev.Evaluate(g, topo, st, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return st, rep
 }
