@@ -198,12 +198,14 @@ func (s Spec) Canonical() string {
 	return sb.String()
 }
 
-// maxSpecDevices bounds the device count of a parsed spec. A spec string
-// arrives from CLI flags and service requests, and a count of a few
-// characters could otherwise make the parser allocate billions of
-// devices. The bound is far beyond any cluster the planners search (the
-// GraphPipe DP packs at most 127 devices into a memo key).
-const maxSpecDevices = 1 << 16
+// MaxDevices bounds the device count of every cluster built from a name:
+// a parsed spec here, a synth family's devices= field and a request's
+// device count (models.Topology). Those arrive from CLI flags and service
+// requests, and a count of a few characters could otherwise make a
+// builder allocate billions of devices. The bound is far beyond any
+// cluster the planners search (the GraphPipe DP packs at most 127
+// devices into a memo key).
+const MaxDevices = 1 << 16
 
 // ParseSpec decodes an explicit topology spec string (the inverse of
 // Spec.Canonical, though it accepts arbitrary class/level names).
@@ -273,8 +275,8 @@ func ParseSpec(name string) (Spec, error) {
 				if err != nil || n < 1 {
 					return Spec{}, fmt.Errorf("cluster: assignment %q: bad count", as)
 				}
-				if n > maxSpecDevices-len(spec.Assign) {
-					return Spec{}, fmt.Errorf("cluster: assignment %q: a spec names at most %d devices", as, maxSpecDevices)
+				if n > MaxDevices-len(spec.Assign) {
+					return Spec{}, fmt.Errorf("cluster: assignment %q: a spec names at most %d devices", as, MaxDevices)
 				}
 				ci, ok := classIdx[cls]
 				if !ok {

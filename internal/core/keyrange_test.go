@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,10 +33,31 @@ func TestKeyRangeDeviceLimit(t *testing.T) {
 	if err := p.validateKeyRanges([]int{1}); err != nil {
 		t.Errorf("127 devices rejected: %v", err)
 	}
-	// 128 devices would wrap the 7-bit field to 0: plan must error out.
-	p = newTestPartitioner(t, 128, planner.Options{})
-	if _, _, err := p.plan(256); err == nil || !strings.Contains(err.Error(), "device") {
+	// 128 devices would wrap the 7-bit field to 0: the planner must
+	// refuse them.
+	topo := cluster.NewSummitTopology(128)
+	if _, _, err := (graphpipe{}).Plan(models.SequentialTransformer(2), topo, 256, planner.Options{}); err == nil || !strings.Contains(err.Error(), "device") {
 		t.Errorf("128 devices: want device-limit error, got %v", err)
+	}
+}
+
+// TestDeviceLimitBeforePlacementTable pins that the device limit is
+// checked before anything per device pair is allocated: the placement
+// table of a 1,024-device cluster alone holds a million class ids (4 MB).
+func TestDeviceLimitBeforePlacementTable(t *testing.T) {
+	g := models.SequentialTransformer(2)
+	topo := cluster.NewSummitTopology(1024)
+	m := costmodel.NewDefault(topo)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err := (graphpipe{}).Plan(g, topo, 256, planner.Options{CostModel: m, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "device") {
+		t.Fatalf("1024 devices: want device-limit error, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusing 1024 devices allocated %d bytes, want under 1 MB", alloc)
 	}
 }
 

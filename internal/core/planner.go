@@ -17,9 +17,15 @@
 //     schedule boundaries; the source in-flight count is the maximum over
 //     the groups (continuous pipelining, §5).
 //
-// DP states are memoized on (zone, devices, source config, successor
-// config); the zone count is polynomial for series-parallel DNNs, which is
-// why GraphPipe's search is 9–21× faster than the SPP baselines (§7.2).
+// DP states are memoized on (zone, devices, placement class, source
+// config, successor config and in-flight count); the zone count is
+// polynomial for series-parallel DNNs. The paper credits that for a search
+// 9–21× faster than the SPP baselines (§7.2). This implementation does not
+// reproduce the claim: on the Summit cells it measures, GraphPipe searches
+// slower than PipeDream, because the placement class and the successor's
+// in-flight count multiply the states (see ROADMAP.md). The DP skips every
+// candidate whose bounds already lose to the state's incumbent before
+// paying for its second lookup (see wins).
 //
 // The memo spans the probes of one binary search. A DP value depends on the
 // probe's TPS target only through the [tps ≤ tmax] comparisons made while
@@ -96,14 +102,6 @@ type partitioner struct {
 	// blocks per block size; the class of a stage's block is the placement
 	// dimension of the DP key.
 	places *cluster.PlacementTable
-
-	// evalCaches memoizes per-(zone, micro-batch, devices, placement
-	// class) stage costs, partitioned by root micro-batch size so
-	// concurrent per-size searches never contend. The costs are
-	// independent of the binary-search target and are therefore reused
-	// across all probes of one Plan call; each table is internally sharded
-	// for the per-probe fan-out.
-	evalCaches map[int]*evalTable
 
 	// exportGen numbers exportSearch calls for dpResult.expGen tagging.
 	exportGen uint32
@@ -203,10 +201,16 @@ func (zt *zoneTable) resolveAll(root int) {
 }
 
 // newPartitioner constructs a partitioner. The graph must have a single
-// source and sink (spgraph.Validate).
+// source and sink (spgraph.Validate), and the cluster at most the devices
+// a DP key packs, checked before the placement table (n² classes) is
+// built.
 func newPartitioner(g *graph.Graph, model costmodel.Model, opts planner.Options) (*partitioner, error) {
 	if err := spgraph.Validate(g); err != nil {
 		return nil, err
+	}
+	topo := model.Topology()
+	if d := topo.Len(); d > maxKeyDevs {
+		return nil, fmt.Errorf("core: %d devices exceed the DP key's %d-device limit", d, maxKeyDevs)
 	}
 	dec := spgraph.New(g)
 	zt := newZoneTable(dec)
@@ -214,7 +218,7 @@ func newPartitioner(g *graph.Graph, model costmodel.Model, opts planner.Options)
 	p := &partitioner{
 		g:     g,
 		model: model,
-		topo:  model.Topology(),
+		topo:  topo,
 		dec:   dec,
 		zones: zt,
 		opts:  opts,
@@ -277,25 +281,18 @@ type dpResult struct {
 	expID  int32
 }
 
-// combineInto writes the series/parallel combination of a and b into out —
-// a caller-owned scratch value, not an allocation: the DP inner loop
-// evaluates orders of magnitude more candidates than it keeps, so candidate
-// values are built in place and only copied into an arena node when they
-// win the better comparison.
-func combineInto(out, a, b *dpResult) {
-	*out = dpResult{
-		maxMem:  a.maxMem,
-		maxTPS:  a.maxTPS,
+// combine builds the series/parallel combination of a and b in a new arena
+// node; the caller sets its source fields.
+func (w *dpWalker) combine(a, b *dpResult) *dpResult {
+	r := w.newResult()
+	*r = dpResult{
+		maxMem:  max(a.maxMem, b.maxMem),
+		maxTPS:  max(a.maxTPS, b.maxTPS),
 		nStages: a.nStages + b.nStages,
 		left:    a,
 		right:   b,
 	}
-	if b.maxMem > out.maxMem {
-		out.maxMem = b.maxMem
-	}
-	if b.maxTPS > out.maxTPS {
-		out.maxTPS = b.maxTPS
-	}
+	return r
 }
 
 // stageInfoFor returns the schedule configuration and in-flight sample
@@ -323,32 +320,42 @@ func (r *dpResult) collectStages(out []dpStage) []dpStage {
 	return r.right.collectStages(out)
 }
 
-// better implements the DP's preference order: feasible, then smaller
-// source-stage in-flight count (the §5 subproblem objective), then smaller
-// peak memory (PickBetter, Algorithm 1 line 18), then fewer stages.
-func better(a, b *dpResult) *dpResult {
-	if a == nil {
-		return b
+// wins implements the DP's preference order: it reports whether a
+// candidate holding inFlight source samples, mem bytes at peak and nStages
+// stages is preferred to the incumbent inc. Feasible beats infeasible (a
+// nil inc), then fewer source-stage in-flight samples (the §5 subproblem
+// objective), then less peak memory (PickBetter, Algorithm 1 line 18),
+// then fewer stages. A tie keeps the incumbent, so of equal candidates the
+// first in enumeration order wins.
+//
+// Called with lower bounds on a candidate that is not yet solved, wins is
+// the DP's branch-and-bound test: when the bounds do not win, no candidate
+// they bound can, and the DP skips the candidate's remaining lookups. The
+// bounds rest on two facts: every case of Table 2 is the successor's
+// in-flight count plus a term of the two configs that is at least minInc,
+// and a zone reports at least the in-flight count of every stage inside it
+// (the maximum over parallel groups, the upstream source of a series
+// split). A series candidate therefore holds at least its right part's
+// count plus minInc, a parallel candidate at least its right part's count,
+// and either one at least its right part's peak memory. The stage bound
+// passed is 0, so a candidate is skipped only when it loses strictly on
+// in-flight count or memory: a tighter stage bound skips more states in a
+// cold search but leaves warm-starting searches fewer snapshot entries to
+// reuse. A skipped candidate could not replace the incumbent at any target
+// inside the state's span, because the incumbent and the right part are
+// both fixed there. So the memoized value is the one a full enumeration
+// computes, and the span, which then omits the skipped lookups, stays
+// sound.
+func wins(inc *dpResult, inFlight int, mem float64, nStages int) bool {
+	switch {
+	case inc == nil:
+		return true
+	case inFlight != inc.inFlight:
+		return inFlight < inc.inFlight
+	case mem != inc.maxMem:
+		return mem < inc.maxMem
 	}
-	if b == nil {
-		return a
-	}
-	if a.inFlight != b.inFlight {
-		if a.inFlight < b.inFlight {
-			return a
-		}
-		return b
-	}
-	if a.maxMem != b.maxMem {
-		if a.maxMem < b.maxMem {
-			return a
-		}
-		return b
-	}
-	if a.nStages <= b.nStages {
-		return a
-	}
-	return b
+	return nStages < inc.nStages
 }
 
 // dpKey packs a DP state into one word: zone id (14 bits), devices (7),
@@ -390,11 +397,11 @@ func (v *span) join(o span) {
 func (v span) covers(t float64) bool { return v.lo <= t && t < v.hi }
 
 // search holds one micro-batch size's binary-search state, shared by every
-// probe of that search: the probe-spanning sharded memo, the eval table,
-// the frozen config index, and the worker pool. tmax is the current probe's
-// target; probes are sequential within one search, so mutating it between
-// probes is race-free. The recursion itself runs in dpWalker instances, one
-// per concurrent branch.
+// probe of that search: the probe-spanning sharded memo, the stage-cost
+// table, the frozen config index, and the worker pool. tmax is the current
+// probe's target; probes are sequential within one search, so mutating it
+// between probes is race-free. The recursion itself runs in dpWalker
+// instances, one per concurrent branch.
 type search struct {
 	p         *partitioner
 	miniBatch int
@@ -403,6 +410,11 @@ type search struct {
 	bCands    []int // all candidate micro-batch sizes (per-stage mode)
 	maxDegree int   // cluster size: data-parallel degrees are powers of two ≤ this
 	memo      *memoTable
+	// evalCache memoizes per-(zone, micro-batch, devices, placement
+	// class) stage costs. The costs are independent of the binary-search
+	// target and are therefore reused across all probes; each search owns
+	// its table, so concurrent per-size searches never contend, and the
+	// table is internally sharded for the per-probe fan-out.
 	evalCache *evalTable
 	states    atomic.Int64
 	pool      *workerPool // nil: fully sequential probe
@@ -418,6 +430,12 @@ type search struct {
 	// so the list is computed once per search instead of allocated per DP
 	// state.
 	boundary []schedule.Config
+	// minInc is the smallest in-flight increment Table 2 adds between any
+	// two frozen configs (ComputeInFlight(c, [{c2, i}]) − i), and minKB the
+	// smallest k·b, the in-flight count of a stage with no successor.
+	// Together they bound what a candidate can hold before it is solved
+	// (see wins).
+	minInc, minKB int
 }
 
 // freezeConfigs pre-interns every schedule config the search can reach, in
@@ -427,25 +445,53 @@ type search struct {
 // and per-stage mode offers every candidate (Figure 5's per-stage sizes).
 func (s *search) freezeConfigs(rootB int) {
 	s.cfgs = []schedule.Config{{MicroBatch: rootB, K: 1}}
-	if !s.p.opts.PerStageMicroBatch {
+	if s.p.opts.PerStageMicroBatch {
+		for _, b := range s.bCands {
+			c := schedule.Config{MicroBatch: b, K: 1}
+			s.boundary = append(s.boundary, c)
+			if b != rootB {
+				s.cfgs = append(s.cfgs, c)
+			}
+		}
+	} else {
 		s.boundary = s.cfgs
-		return
 	}
-	for _, b := range s.bCands {
-		c := schedule.Config{MicroBatch: b, K: 1}
-		s.boundary = append(s.boundary, c)
-		if b != rootB {
-			s.cfgs = append(s.cfgs, c)
+	s.minInc, s.minKB = math.MaxInt, math.MaxInt
+	for _, c := range s.cfgs {
+		s.minKB = min(s.minKB, schedule.ComputeInFlight(c, nil))
+		for _, c2 := range s.cfgs {
+			s.minInc = min(s.minInc, schedule.ComputeInFlight(c, []schedule.Successor{{Config: c2}}))
 		}
 	}
+}
+
+// seriesWins reports whether any series candidate of a state with
+// successor cb can win against the incumbent inc (see wins). Its source
+// holds at least two increments over cb, or one over the smallest k·b at
+// the model's sink: the right part's source holds one increment over the
+// successor and the left part's source one over the right's.
+func (s *search) seriesWins(inc *dpResult, cb *schedule.Successor) bool {
+	floor := s.minKB + s.minInc
+	if cb != nil {
+		floor = cb.InFlight + 2*s.minInc
+	}
+	return wins(inc, floor, 0, 0)
 }
 
 // configIdx resolves a schedule config to its frozen index by scanning the
 // (tiny: one per micro-batch candidate) config list. makeKey calls this for
 // every DP state; a linear compare over at most a few structs beats
 // hashing the struct into a map, which used to be ~20% of the whole search
-// in profiles.
+// in profiles. The root config, every config of the uniform default, is
+// checked inline before the call.
 func (s *search) configIdx(c schedule.Config) int {
+	if c == s.cfgs[0] {
+		return 0
+	}
+	return s.scanConfigs(c)
+}
+
+func (s *search) scanConfigs(c schedule.Config) int {
 	for i, fc := range s.cfgs {
 		if fc == c {
 			return i
@@ -476,9 +522,10 @@ const (
 )
 
 // validateKeyRanges checks that every field makeKey packs fits its bit
-// width for this search. Zone and config counts are final here (resolveAll
-// has run; freezeConfigs interns the root config plus at most one per
-// candidate, the count checked below). In-flight counts are produced by
+// width for this search; newPartitioner has already bounded the device
+// count. Zone and config counts are final here (resolveAll has run;
+// freezeConfigs interns the root config plus at most one per candidate,
+// the count checked below). In-flight counts are produced by
 // schedule.ComputeInFlight, whose Table 2 recurrences add at most
 // b + 2·max(b) ≤ 3·maxB per 1F1B stage over a pipeline of at most
 // topo.Len() stages, so 3·maxB·devices bounds every successor in-flight
@@ -486,9 +533,6 @@ const (
 func (p *partitioner) validateKeyRanges(bCands []int) error {
 	if n := len(p.zones.sets); n-1 > maxZoneID {
 		return fmt.Errorf("core: %d series-parallel zones exceed the DP key's %d-zone limit", n, maxZoneID+1)
-	}
-	if d := p.topo.Len(); d > maxKeyDevs {
-		return fmt.Errorf("core: %d devices exceed the DP key's %d-device limit", d, maxKeyDevs)
 	}
 	nCfg := 1
 	if p.opts.PerStageMicroBatch {
@@ -658,25 +702,22 @@ func (w *dpWalker) dp(zoneID int, cf schedule.Config, cb *schedule.Successor, d,
 	best, asp := w.stageAttempt(zoneID, cf, cb, d, start)
 	sp.join(asp)
 
-	// Candidates are evaluated into a scratch value and copied into an
-	// arena node only when they beat the incumbent, so losing candidates
-	// (the overwhelming majority) cost no allocation.
-	var tmp dpResult
-
 	// Series decompositions: solve downstream (right) first; its source
 	// in-flight count becomes the upstream (left) sink's successor info
 	// (Algorithm 1 lines 33–40). The upstream part keeps the block's low
-	// devices; the downstream part lands at start+d1.
-	for _, spl := range s.p.zones.seriesSplits(zoneID) {
-		for d2 := 1; d2 < d; d2++ {
-			d1 := d - d2
-			for _, cm := range s.boundary {
-				ok, rsp := w.trySeries(&tmp, spl, cf, cm, cb, d1, d2, start)
-				sp.join(rsp)
-				if ok && better(best, &tmp) == &tmp {
-					n := w.newResult()
-					*n = tmp
-					best = n
+	// devices; the downstream part lands at start+d1. A single stage that
+	// already holds fewer samples than any series candidate can settles
+	// the whole enumeration.
+	if s.seriesWins(best, cb) {
+		for _, spl := range s.p.zones.seriesSplits(zoneID) {
+			for d2 := 1; d2 < d; d2++ {
+				d1 := d - d2
+				for _, cm := range s.boundary {
+					r, rsp := w.trySeries(best, spl, cf, cm, cb, d1, d2, start)
+					sp.join(rsp)
+					if r != nil {
+						best = r
+					}
 				}
 			}
 		}
@@ -687,12 +728,10 @@ func (w *dpWalker) dp(zoneID int, cf schedule.Config, cb *schedule.Successor, d,
 	// in-flight count (Algorithm 1 lines 41–47).
 	for _, spl := range s.p.zones.parallelSplits(zoneID) {
 		for d1 := 1; d1 < d; d1++ {
-			ok, rsp := w.tryParallel(&tmp, spl, cf, cb, d1, d-d1, start)
+			r, rsp := w.tryParallel(best, spl, cf, cb, d1, d-d1, start)
 			sp.join(rsp)
-			if ok && better(best, &tmp) == &tmp {
-				n := w.newResult()
-				*n = tmp
-				best = n
+			if r != nil {
+				best = r
 			}
 		}
 	}
@@ -702,44 +741,48 @@ func (w *dpWalker) dp(zoneID int, cf schedule.Config, cb *schedule.Successor, d,
 	return best, sp
 }
 
-// trySeries evaluates one series-split candidate into out: right part on
-// d2 devices under boundary config cm, then the left part with the right's
-// source schedule as its successor. When the right part is infeasible the
-// left is never consulted — exactly as a fresh computation at any target
-// inside the returned span would behave, so the early return keeps reuse
-// sound.
-func (w *dpWalker) trySeries(out *dpResult, sp splitIDs, cf, cm schedule.Config, cb *schedule.Successor, d1, d2, start int) (bool, span) {
+// trySeries evaluates one series-split candidate against the incumbent
+// inc: right part on d2 devices under boundary config cm, then the left
+// part with the right's source schedule as its successor. It returns the
+// candidate in a new arena node if it wins against inc, and nil otherwise:
+// the DP inner loop evaluates orders of magnitude more candidates than it
+// keeps, so a losing one costs no allocation. When the right part is
+// infeasible, or its bounds already lose (wins), the left is never
+// consulted — exactly as a fresh computation at any target inside the
+// returned span would behave, so the early return keeps reuse sound.
+func (w *dpWalker) trySeries(inc *dpResult, sp splitIDs, cf, cm schedule.Config, cb *schedule.Successor, d1, d2, start int) (*dpResult, span) {
 	r2, v := w.dp(sp.right, cm, cb, d2, start+d1)
-	if r2 == nil {
-		return false, v
+	if r2 == nil || !wins(inc, r2.inFlight+w.s.minInc, r2.maxMem, 0) {
+		return nil, v
 	}
 	mid := schedule.Successor{Config: r2.srcCfg, InFlight: r2.inFlight}
 	r1, v1 := w.dp(sp.left, cf, &mid, d1, start)
 	v.join(v1)
-	if r1 == nil {
-		return false, v
+	if r1 == nil || !wins(inc, r1.inFlight, max(r1.maxMem, r2.maxMem), r1.nStages+r2.nStages) {
+		return nil, v
 	}
-	combineInto(out, r1, r2)
+	out := w.combine(r1, r2)
 	out.inFlight = r1.inFlight
 	out.srcCfg = r1.srcCfg
-	return true, v
+	return out, v
 }
 
-// tryParallel evaluates one parallel-split candidate into out. For
-// sink-anchored splits the right group carries the zone's shared sink
-// operator, so the left group's successor is the sink-holding stage inside
-// the right group's solution rather than the stage after the zone.
-func (w *dpWalker) tryParallel(out *dpResult, sp splitIDs, cf schedule.Config, cb *schedule.Successor, d1, d2, start int) (bool, span) {
+// tryParallel evaluates one parallel-split candidate against the
+// incumbent inc, returning it as trySeries does. For sink-anchored splits
+// the right group carries the zone's shared sink operator, so the left
+// group's successor is the sink-holding stage inside the right group's
+// solution rather than the stage after the zone.
+func (w *dpWalker) tryParallel(inc *dpResult, sp splitIDs, cf schedule.Config, cb *schedule.Successor, d1, d2, start int) (*dpResult, span) {
 	r2, v := w.dp(sp.right, cf, cb, d2, start+d1)
-	if r2 == nil {
-		return false, v
+	if r2 == nil || !wins(inc, r2.inFlight, r2.maxMem, 0) {
+		return nil, v
 	}
 	leftCB := cb
 	var anchored schedule.Successor
 	if sp.sinkAnchored {
 		cfg, ifl, ok := r2.stageInfoFor(sp.mergeOp)
 		if !ok {
-			return false, v // derivation must own the merge op
+			return nil, v // derivation must own the merge op
 		}
 		anchored = schedule.Successor{Config: cfg, InFlight: ifl}
 		leftCB = &anchored
@@ -747,15 +790,16 @@ func (w *dpWalker) tryParallel(out *dpResult, sp splitIDs, cf schedule.Config, c
 	r1, v1 := w.dp(sp.left, cf, leftCB, d1, start)
 	v.join(v1)
 	if r1 == nil {
-		return false, v
+		return nil, v
 	}
-	combineInto(out, r1, r2)
-	out.inFlight = r1.inFlight
-	if r2.inFlight > out.inFlight {
-		out.inFlight = r2.inFlight
+	inFlight := max(r1.inFlight, r2.inFlight)
+	if !wins(inc, inFlight, max(r1.maxMem, r2.maxMem), r1.nStages+r2.nStages) {
+		return nil, v
 	}
+	out := w.combine(r1, r2)
+	out.inFlight = inFlight
 	out.srcCfg = cf
-	return true, v
+	return out, v
 }
 
 // dpRoot solves the root zone. With a worker pool, the root's candidate
@@ -763,11 +807,14 @@ func (w *dpWalker) tryParallel(out *dpResult, sp splitIDs, cf schedule.Config, c
 // boundary config) and (parallel split, device split) combination — fans
 // out across the pool, each task recursing sequentially through its own
 // walker into the shared memo. Candidates land in enumeration-order slots
-// and are folded with better in that same order, so the winner is the one
+// and are folded with wins in that same order, so the winner is the one
 // the sequential path picks: each candidate's value is a pure function of
 // its sub-keys, independent of which walker computed the memo entries. The
-// root state is memoized like any other, so a later probe whose target
-// falls inside the root entry's span skips the whole fan-out.
+// single-stage attempt runs first and is every task's incumbent, the one
+// they all know: a task returns its candidate only if it wins against it,
+// and one that does not cannot win the fold either. The root state is
+// memoized like any other, so a later probe whose target falls inside the
+// root entry's span skips the whole fan-out.
 func (s *search) dpRoot(zoneID int, cf schedule.Config, cb *schedule.Successor, d int) *dpResult {
 	const start = 0 // the root zone always owns the whole device range
 	if s.pool == nil {
@@ -779,37 +826,26 @@ func (s *search) dpRoot(zoneID int, cf schedule.Config, cb *schedule.Successor, 
 		return r
 	}
 	s.states.Add(1)
+	inc, incSpan := s.newWalker().stageAttempt(zoneID, cf, cb, d, start)
 	var tasks []func()
-	var cands []*dpResult
-	var spans []span
+	cands := []*dpResult{inc}
+	spans := []span{incSpan}
 	spawn := func(f func(w *dpWalker) (*dpResult, span)) {
 		i := len(cands)
 		cands = append(cands, nil)
 		spans = append(spans, fullSpan())
 		tasks = append(tasks, func() { cands[i], spans[i] = f(s.newWalker()) })
 	}
-	spawn(func(w *dpWalker) (*dpResult, span) { return w.stageAttempt(zoneID, cf, cb, d, start) })
-	// materialize copies a feasible scratch candidate into the walker's
-	// arena (root candidates outlive their task, unlike the DP inner loop's
-	// losing candidates).
-	materialize := func(w *dpWalker, tmp *dpResult, ok bool, v span) (*dpResult, span) {
-		if !ok {
-			return nil, v
-		}
-		r := w.newResult()
-		*r = *tmp
-		return r, v
-	}
-	for _, sp := range s.p.zones.seriesSplits(zoneID) {
-		for d2 := 1; d2 < d; d2++ {
-			d1 := d - d2
-			for _, cm := range s.boundary {
-				sp, cm, d1, d2 := sp, cm, d1, d2
-				spawn(func(w *dpWalker) (*dpResult, span) {
-					var tmp dpResult
-					ok, v := w.trySeries(&tmp, sp, cf, cm, cb, d1, d2, start)
-					return materialize(w, &tmp, ok, v)
-				})
+	if s.seriesWins(inc, cb) {
+		for _, sp := range s.p.zones.seriesSplits(zoneID) {
+			for d2 := 1; d2 < d; d2++ {
+				d1 := d - d2
+				for _, cm := range s.boundary {
+					sp, cm, d1, d2 := sp, cm, d1, d2
+					spawn(func(w *dpWalker) (*dpResult, span) {
+						return w.trySeries(inc, sp, cf, cm, cb, d1, d2, start)
+					})
+				}
 			}
 		}
 	}
@@ -817,17 +853,17 @@ func (s *search) dpRoot(zoneID int, cf schedule.Config, cb *schedule.Successor, 
 		for d1 := 1; d1 < d; d1++ {
 			sp, d1, d2 := sp, d1, d-d1
 			spawn(func(w *dpWalker) (*dpResult, span) {
-				var tmp dpResult
-				ok, v := w.tryParallel(&tmp, sp, cf, cb, d1, d2, start)
-				return materialize(w, &tmp, ok, v)
+				return w.tryParallel(inc, sp, cf, cb, d1, d2, start)
 			})
 		}
 	}
 	s.pool.Do(tasks)
 	var best *dpResult
 	rootSpan := fullSpan()
-	for i, cand := range cands {
-		best = better(best, cand)
+	for i, c := range cands {
+		if c != nil && wins(best, c.inFlight, c.maxMem, c.nStages) {
+			best = c
+		}
 		rootSpan.join(spans[i])
 	}
 	s.memo.put(key, best, rootSpan)
@@ -842,14 +878,16 @@ func (r *dpResult) iterationEstimate(miniBatch int) float64 {
 }
 
 // perB accumulates one candidate micro-batch size's search outcome. The
-// search object itself is retained so Plan can export its memo and read
-// its warm-reuse counters after the fan-out joins.
+// search object itself is retained only when a MemoSink will export its
+// memo after the fan-out joins; otherwise plan drops it as soon as it
+// ends, keeping its warm-reuse count in reused.
 type perB struct {
 	best   *dpResult
 	states int
 	iters  int
 	search *search
 	warmed bool
+	reused int // memo variants materialized from the warm snapshot
 }
 
 // newSearch constructs one micro-batch size's search state with its config
@@ -862,7 +900,7 @@ func (p *partitioner) newSearch(b, miniBatch int, bCands []int, pool *workerPool
 		bCands:    bCands,
 		maxDegree: p.topo.Len(),
 		memo:      newMemoTable(pool != nil),
-		evalCache: p.evalCaches[b],
+		evalCache: newEvalTable(pool != nil),
 		pool:      pool,
 	}
 	s.freezeConfigs(b)
@@ -958,10 +996,6 @@ func (p *partitioner) plan(miniBatch int) (*strategy.Strategy, planner.Stats, er
 		pool = newWorkerPool(workers)
 	}
 
-	p.evalCaches = make(map[int]*evalTable) // TPS depends on miniBatch
-	for _, b := range bCands {
-		p.evalCaches[b] = newEvalTable(pool != nil)
-	}
 	root := p.zones.intern(p.dec.Root())
 	p.zones.resolveAll(root) // make the zone table read-only
 
@@ -980,7 +1014,8 @@ func (p *partitioner) plan(miniBatch int) (*strategy.Strategy, planner.Stats, er
 	// reference FreshProbeMemo path always plans cold.
 	var snap *memosnap.Snapshot
 	var snapKey memosnap.Key
-	if (p.opts.WarmMemo != nil || p.opts.MemoSink != nil) && !p.opts.FreshProbeMemo {
+	export := p.opts.MemoSink != nil && !p.opts.FreshProbeMemo
+	if (p.opts.WarmMemo != nil || export) && !p.opts.FreshProbeMemo {
 		snapKey = p.snapshotKey()
 		if p.opts.WarmMemo != nil {
 			if s := p.opts.WarmMemo(snapKey); s != nil && s.Key == snapKey {
@@ -996,13 +1031,20 @@ func (p *partitioner) plan(miniBatch int) (*strategy.Strategy, planner.Stats, er
 	// data-parallel stage hides pipelines), so each tightening step can
 	// reveal a better-scored strategy. The per-size searches are
 	// independent in the uniform-schedule default; they and their probes'
-	// root fan-outs share one bounded worker pool.
+	// root fan-outs share one bounded worker pool. Only an export reads a
+	// finished search, so without one each search (memo and stage costs)
+	// is dropped as soon as it ends, while the other sizes still search.
 	results := make([]perB, len(bCands))
 	tasks := make([]func(), len(bCands))
 	for i, b := range bCands {
 		i, b := i, b
 		tasks[i] = func() {
-			p.searchMicroBatch(&results[i], b, miniBatch, bCands, maxTPS, eps, root, pool, snap)
+			out := &results[i]
+			p.searchMicroBatch(out, b, miniBatch, bCands, maxTPS, eps, root, pool, snap)
+			out.reused = int(out.search.memo.warmHits.Load())
+			if !export {
+				out.search = nil
+			}
 		}
 	}
 	if pool == nil {
@@ -1045,11 +1087,9 @@ func (p *partitioner) plan(miniBatch int) (*strategy.Strategy, planner.Stats, er
 		if results[i].warmed {
 			stats.MemoWarmStarted = true
 		}
-		if s := results[i].search; s != nil {
-			stats.MemoEntriesReused += int(s.memo.warmHits.Load())
-		}
+		stats.MemoEntriesReused += results[i].reused
 	}
-	if p.opts.MemoSink != nil && !p.opts.FreshProbeMemo {
+	if export {
 		endExport := p.span("memo.export")
 		snapOut := p.exportSnapshot(snapKey, results)
 		endExport()

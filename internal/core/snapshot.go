@@ -124,17 +124,16 @@ func (p *partitioner) costSig() uint64 {
 // search exports nothing, which makes Merge accumulation drift-free
 // (pinned by test).
 //
-// Each search is dropped from results, and its stage-cost table from the
-// planner, as soon as it is exported: its memo is garbage while the later
-// searches export and while the sink merges, so the planner's memo and the
-// new snapshot are never both fully live.
+// Each search, with its stage-cost table, is dropped from results as soon
+// as it is exported: its memo is garbage while the later searches export
+// and while the sink merges, so the planner's memo and the new snapshot
+// are never both fully live.
 func (p *partitioner) exportSnapshot(key memosnap.Key, results []perB) *memosnap.Snapshot {
 	snap := &memosnap.Snapshot{Key: key}
 	for i := range results {
 		if s := results[i].search; s != nil {
 			snap.Searches = append(snap.Searches, p.exportSearch(s))
 			results[i].search = nil
-			delete(p.evalCaches, s.rootB)
 		}
 	}
 	return snap

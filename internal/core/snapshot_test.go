@@ -178,11 +178,9 @@ func TestWarmImportIsLazy(t *testing.T) {
 	root := p.zones.intern(p.dec.Root())
 	p.zones.resolveAll(root)
 	bCands := planner.MicroBatchCandidates(mb, 0, p.opts.MaxMicroBatch)
-	p.evalCaches = map[int]*evalTable{}
 	maxTPS := p.model.MaxTPS(g, mb)
 	held, built := 0, 0
 	for _, b := range bCands {
-		p.evalCaches[b] = newEvalTable(false)
 		var out perB
 		p.searchMicroBatch(&out, b, mb, bCands, maxTPS, epsilon*maxTPS, root, nil, snap)
 		if !out.warmed {
@@ -322,7 +320,6 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2.zones.resolveAll(p2.zones.intern(p2.dec.Root()))
-	p2.evalCaches = map[int]*evalTable{}
 	re := &memosnap.Snapshot{Key: decoded.Key}
 	for i := range decoded.Searches {
 		sm := &decoded.Searches[i]

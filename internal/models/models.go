@@ -570,10 +570,11 @@ func Generalist(cfg GeneralistConfig) *graph.Graph {
 // full; any other "topo:" name is a seeded synth topology family
 // (synth.BuildTopology). Explicit specs must describe exactly the
 // requested device count: a request routed to a cluster of a different
-// size is a caller bug, not something to silently truncate.
+// size is a caller bug, not something to silently truncate. The count is
+// checked against cluster.MaxDevices before any device is built.
 func Topology(name string, devices int) (*cluster.Topology, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("models: topology %q needs a positive device count, got %d", name, devices)
+	if devices < 1 || devices > cluster.MaxDevices {
+		return nil, fmt.Errorf("models: topology %q needs 1..%d devices, got %d", name, cluster.MaxDevices, devices)
 	}
 	switch {
 	case name == "":

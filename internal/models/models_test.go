@@ -1,8 +1,10 @@
 package models
 
 import (
+	"strings"
 	"testing"
 
+	"graphpipe/internal/cluster"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/spgraph"
 )
@@ -294,5 +296,21 @@ func TestBuildSynthSpecs(t *testing.T) {
 	}
 	if _, _, err := Build("synth:chain/seed=", 0, 4); err == nil {
 		t.Error("malformed synth spec accepted")
+	}
+}
+
+// TestTopologyDeviceBound pins that a request's device count is checked
+// before any device is built: every topology name (the Summit preset, a
+// named preset, a synth family, an explicit spec) refuses one device more
+// than cluster.MaxDevices, where the Summit preset used to allocate
+// whatever count a request named.
+func TestTopologyDeviceBound(t *testing.T) {
+	for _, name := range []string{"", "summit", "topo:uniform/seed=1", "topo:explicit/classes=a:16e9:1e14:9e11/levels=l:4:1e10:1e10:1e-6/assign=4xa"} {
+		if _, err := Topology(name, cluster.MaxDevices+1); err == nil || !strings.Contains(err.Error(), "devices") {
+			t.Errorf("Topology(%q, %d): want the device bound, got %v", name, cluster.MaxDevices+1, err)
+		}
+	}
+	if topo, err := Topology("", 64); err != nil || topo.Len() != 64 {
+		t.Errorf("Topology(\"\", 64) = %v, %v", topo, err)
 	}
 }

@@ -27,6 +27,7 @@ type goldenCell struct {
 	branches int
 	devices  int
 	topology string // models.Topology name; empty selects Summit
+	opts     strategy.PlanOptions
 }
 
 func (c goldenCell) name() string {
@@ -38,6 +39,12 @@ func (c goldenCell) name() string {
 	if c.topology != "" {
 		s += "/" + c.topology
 	}
+	if c.opts.PerStageMicroBatch {
+		s += "+per-stage"
+	}
+	if c.opts.DisableSinkAnchoredSplits {
+		s += "+no-anchored"
+	}
 	return s
 }
 
@@ -46,7 +53,11 @@ func (c goldenCell) name() string {
 // paper model it can solve (two-branch MMT), GraphPipe and PipeDream on
 // one heterogeneous and two hierarchical synth topologies, and GraphPipe
 // on the heterogeneous topology at 32 devices, whose blocks form more
-// than 256 placement classes across all sizes.
+// than 256 placement classes across all sizes. The last cells pin
+// GraphPipe outside its default search: per-stage micro-batches (a config
+// set of every candidate size, where the uniform default has one),
+// sink-anchored splits switched off, and the Appendix A.3 sequential
+// Transformer, a chain with no parallel split at all.
 func goldenCells() []goldenCell {
 	var cells []goldenCell
 	for _, pl := range []string{"graphpipe", "pipedream"} {
@@ -66,6 +77,14 @@ func goldenCells() []goldenCell {
 			goldenCell{planner: pl, model: "mmt", devices: 8, topology: "topo:two-tier/seed=1"})
 	}
 	cells = append(cells, goldenCell{planner: "graphpipe", model: "candle-uno", devices: 32, topology: "topo:hetero-speed/seed=7"})
+	perStage := strategy.PlanOptions{PerStageMicroBatch: true}
+	for _, m := range []string{"mmt", "generalist", "case-study", "dlrm"} {
+		cells = append(cells, goldenCell{planner: "graphpipe", model: m, devices: 4, opts: perStage})
+	}
+	cells = append(cells,
+		goldenCell{planner: "graphpipe", model: "candle-uno", devices: 8,
+			opts: strategy.PlanOptions{DisableSinkAnchoredSplits: true}},
+		goldenCell{planner: "graphpipe", model: "sequential", devices: 8})
 	return cells
 }
 
@@ -75,11 +94,9 @@ func goldenCells() []goldenCell {
 // the planning question or the chosen strategy does.
 func goldenLine(t *testing.T, c goldenCell) string {
 	t.Helper()
-	g, _, err := models.Build(c.model, c.branches, c.devices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := models.PaperMiniBatch(c.model, c.devices)
+	// Build pairs each paper model with its Appendix A.2 mini-batch and
+	// the others with a proportional one (the A.3 chain gets MMT's).
+	g, mb, err := models.Build(c.model, c.branches, c.devices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +108,10 @@ func goldenLine(t *testing.T, c goldenCell) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := p.Plan(g, topo, mb, planner.Options{})
+	st, _, err := p.Plan(g, topo, mb, planner.Options{
+		PerStageMicroBatch:        c.opts.PerStageMicroBatch,
+		DisableSinkAnchoredSplits: c.opts.DisableSinkAnchoredSplits,
+	})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name(), err)
 	}
@@ -101,6 +121,7 @@ func goldenLine(t *testing.T, c goldenCell) string {
 		Devices:   c.devices,
 		Topology:  topo.Canonical(),
 		MiniBatch: mb,
+		Options:   c.opts,
 		Planner:   strategy.PlannerMeta{Name: c.planner},
 		Strategy:  st,
 	}

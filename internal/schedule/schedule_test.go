@@ -125,6 +125,36 @@ func TestComputeInFlightExhaustive(t *testing.T) {
 	}
 }
 
+// TestComputeInFlightIsSuccessorOffset pins the form of every Table 2
+// case that GraphPipe's DP prunes by: the result is the successor's
+// in-flight count plus a term of the two configs alone, and that term is
+// at least one sample. So ComputeInFlight(c, [{c2, i}]) equals
+// i + ComputeInFlight(c, [{c2, 0}]), and is at least i + 1.
+func TestComputeInFlightIsSuccessorOffset(t *testing.T) {
+	vals := []int{1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64, 256}
+	ks := []int{1, 2, 3, 4, 8}
+	for _, bx := range vals {
+		for _, kx := range ks {
+			cur := Config{MicroBatch: bx, K: kx}
+			for _, by := range vals {
+				for _, ky := range ks {
+					succ := Config{MicroBatch: by, K: ky}
+					base := ComputeInFlight(cur, []Successor{{Config: succ}})
+					for _, i := range []int{0, 1, 7, 64, 1000, 1 << 20} {
+						got := ComputeInFlight(cur, []Successor{{Config: succ, InFlight: i}})
+						if got != i+base {
+							t.Fatalf("cur=%v succ=%v i=%d: %d, want %d + %d", cur, succ, i, got, i, base)
+						}
+						if got < i+1 {
+							t.Fatalf("cur=%v succ=%v i=%d: %d adds no sample", cur, succ, i, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestComputeInFlightPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

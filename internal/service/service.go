@@ -250,53 +250,18 @@ func (s *Service) Plan(ctx context.Context, req Request) (*PlanResult, error) {
 		// (or even consulting peers) would be work nobody waits for.
 		return nil, err
 	}
-	s.stats.misses.Add(1)
 
 	// The wait context keeps the request's deadline — an expired budget
 	// stops the wait at the deadline, never after — but drops its
 	// cancellation: N-1 joiners (and the cache) depend on this flight,
 	// so one client hanging up must not abandon everyone else's answer.
+	// A joiner has missed both tiers; the leader counts its own miss once
+	// its flight has re-checked the memory tier (see fly).
 	waitCtx, waitCancel := detachCancellation(ctx)
 	defer waitCancel()
 	sfCtx, sfSpan := obs.StartSpan(waitCtx, "singleflight.wait", "fp", fp)
-	e, shared, err := s.flight.Do(sfCtx, fp, func() (*cacheEntry, error) {
-		// Joiners may have raced past the cache lookup while the leader
-		// was filling it; the flight map resolves that race, not this
-		// re-check — the leader is the only cache writer for fp.
-		//
-		// A peer that already holds the plan beats a cold search: the
-		// consult runs inside the flight so N concurrent misses cost one
-		// round of peer traffic, and before admission because it is IO,
-		// not a planner search competing for the worker pool.
-		if e := s.peerFill(sfCtx, fp); e != nil {
-			return e, nil
-		}
-		// The flight runs under a context detached from the leader's
-		// request: N-1 joiners (and the cache) depend on this one run, so
-		// one client hanging up must not poison everyone else's answer
-		// with its cancellation. Admission rejection (ErrOverloaded) still
-		// propagates — a shed flight is shed for every waiter.
-		var (
-			entry   *cacheEntry
-			planErr error
-		)
-		// The admission span covers sitting in the queue: it ends the
-		// moment a worker picks the job up, which is where the
-		// planner.search span begins. Queue time vs. search time is the
-		// first split a slow p99 needs.
-		runCtx := context.WithoutCancel(sfCtx)
-		_, admitSpan := obs.StartSpan(runCtx, "admission.wait")
-		if err := s.pool.run(runCtx, func() {
-			admitSpan.End()
-			entry, planErr = s.runPlanner(runCtx, creq, g, fp)
-		}); err != nil {
-			admitSpan.End()
-			if errors.Is(err, ErrOverloaded) {
-				s.stats.rejected.Add(1)
-			}
-			return nil, err
-		}
-		return entry, planErr
+	e, shared, err := s.flight.Do(sfCtx, fp, func() { s.stats.misses.Add(1) }, func() (*cacheEntry, error) {
+		return s.fly(sfCtx, creq, g, fp)
 	})
 	sfSpan.End()
 	if err != nil {
@@ -312,6 +277,56 @@ func (s *Service) Plan(ctx context.Context, req Request) (*PlanResult, error) {
 	}
 	sfSpan.SetAttr("source", source)
 	return &PlanResult{Fingerprint: fp, Source: source, Artifact: e.art, Data: e.data}, nil
+}
+
+// fly is the body of a plan flight, run once by the request that leads
+// it. The flight map alone does not stop a second cold search: a request
+// can miss both tiers just before a previous leader fills the memory tier,
+// then reach the flight map just after that flight has ended, and lead a
+// new one. The previous leader filled the memory tier before its flight
+// ended, so re-checking it here finds the plan; the request counts as a
+// memory hit, not as a miss or a plan.
+func (s *Service) fly(ctx context.Context, req Request, g *graph.Graph, fp string) (*cacheEntry, error) {
+	if e := s.memory.get(fp); e != nil {
+		s.stats.hitsMemory.Add(1)
+		hit := *e
+		hit.src = "hit-memory"
+		return &hit, nil
+	}
+	s.stats.misses.Add(1)
+	// A peer that already holds the plan beats a cold search: the consult
+	// runs inside the flight so N concurrent misses cost one round of peer
+	// traffic, and before admission because it is IO, not a planner search
+	// competing for the worker pool.
+	if e := s.peerFill(ctx, fp); e != nil {
+		return e, nil
+	}
+	// The flight runs under a context detached from the leader's request:
+	// N-1 joiners (and the cache) depend on this one run, so one client
+	// hanging up must not poison everyone else's answer with its
+	// cancellation. Admission rejection (ErrOverloaded) still propagates —
+	// a shed flight is shed for every waiter.
+	var (
+		entry   *cacheEntry
+		planErr error
+	)
+	// The admission span covers sitting in the queue: it ends the moment a
+	// worker picks the job up, which is where the planner.search span
+	// begins. Queue time vs. search time is the first split a slow p99
+	// needs.
+	runCtx := context.WithoutCancel(ctx)
+	_, admitSpan := obs.StartSpan(runCtx, "admission.wait")
+	if err := s.pool.run(runCtx, func() {
+		admitSpan.End()
+		entry, planErr = s.runPlanner(runCtx, req, g, fp)
+	}); err != nil {
+		admitSpan.End()
+		if errors.Is(err, ErrOverloaded) {
+			s.stats.rejected.Add(1)
+		}
+		return nil, err
+	}
+	return entry, planErr
 }
 
 // detachCancellation returns a context that keeps ctx's deadline (the

@@ -436,6 +436,42 @@ func TestCorruptDiskEntryDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestFlightRechecksMemoryTier pins the close of the double-plan window.
+// A request can miss both cache tiers just before a flight's leader fills
+// the memory tier, then reach the flight map just after that flight has
+// ended, and lead a second flight. That flight must find the plan in the
+// memory tier and count a memory hit, not a miss or a planner run. The
+// test fills the memory tier, then runs the flight body.
+func TestFlightRechecksMemoryTier(t *testing.T) {
+	stub.reset(nil)
+	s := newService(t, Config{})
+	first, err := s.Plan(context.Background(), testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	creq, g, err := testRequest().canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	stub.reset(nil)
+	e, err := s.fly(context.Background(), creq, g, first.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stub.calls.Load(); n != 0 {
+		t.Errorf("flight ran the planner %d times for a plan already in the memory tier", n)
+	}
+	if e.src != "hit-memory" || !bytes.Equal(e.data, first.Data) {
+		t.Errorf("flight answered from %q with %d bytes, want the memory tier's %d", e.src, len(e.data), len(first.Data))
+	}
+	after := s.Stats()
+	if after.HitsMemory != before.HitsMemory+1 || after.Misses != before.Misses || after.Planned != before.Planned {
+		t.Errorf("stats moved from %d hits / %d misses / %d planned to %d / %d / %d; want one more memory hit only",
+			before.HitsMemory, before.Misses, before.Planned, after.HitsMemory, after.Misses, after.Planned)
+	}
+}
+
 // TestLeaderCancellationDoesNotPoisonFlight pins the singleflight
 // detachment: joiners depend on the leader's planner run, so the leader's
 // client hanging up must neither fail the joiners nor abort the run.

@@ -26,9 +26,11 @@ type flight struct {
 
 // Do executes fn once per key among concurrent callers. The leader (the
 // call that started fn) gets shared=false; every caller that joined an
-// in-progress flight gets shared=true and the leader's result. The
-// result is not retained after the last waiter returns: a later Do with
-// the same key runs fn again (by then the cache answers first).
+// in-progress flight gets shared=true and the leader's result, and runs
+// joined (when non-nil) before it waits. The result is not retained
+// after the last waiter returns: a later Do with the same key runs fn
+// again, so fn must itself check whether a previous flight's result is
+// already cached.
 //
 // fn runs in its own goroutine and always runs to completion — its
 // result publishes to the cache even if every waiter leaves. Each
@@ -37,13 +39,16 @@ type flight struct {
 // request's time budget cuts off the wait, never the work. Callers pass
 // a cancellation-detached context (see detachCancellation) when one
 // client hanging up must not abandon the wait.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*cacheEntry, error)) (val *cacheEntry, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key string, joined func(), fn func() (*cacheEntry, error)) (val *cacheEntry, shared bool, err error) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = make(map[string]*flight)
 	}
 	if f, ok := g.flights[key]; ok {
 		g.mu.Unlock()
+		if joined != nil {
+			joined()
+		}
 		select {
 		case <-f.done:
 			return f.val, true, f.err

@@ -105,8 +105,8 @@ func ParseTopo(name string) (TopoSpec, error) {
 	if !seenSeed {
 		return TopoSpec{}, fmt.Errorf("synth: topology spec %q is missing seed=N", name)
 	}
-	if spec.Devices < 0 {
-		return TopoSpec{}, fmt.Errorf("synth: topology spec %q has negative devices", name)
+	if spec.Devices < 0 || spec.Devices > cluster.MaxDevices {
+		return TopoSpec{}, fmt.Errorf("synth: topology spec %q: devices must be within 0..%d", name, cluster.MaxDevices)
 	}
 	return spec, nil
 }
@@ -127,8 +127,8 @@ func (s TopoSpec) Resolve(devices int) (cluster.Spec, error) {
 		}
 		n = s.Devices
 	}
-	if n < 1 {
-		return cluster.Spec{}, fmt.Errorf("synth: topology %s needs a positive device count, got %d", s, n)
+	if n < 1 || n > cluster.MaxDevices {
+		return cluster.Spec{}, fmt.Errorf("synth: topology %s needs 1..%d devices, got %d", s, cluster.MaxDevices, n)
 	}
 	spec := f(s.Seed, n)
 	if err := spec.Validate(); err != nil {
